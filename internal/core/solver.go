@@ -50,9 +50,9 @@ type Options struct {
 	// only the feasible pairs, so per-iteration work scales with the mask
 	// size instead of M·N. Every front-end keeps at least its nearest
 	// datacenter, so the per-row demand constraint stays feasible. Zero
-	// (the default) keeps the dense paper solver, bit-identical to an
-	// engine built before this option existed. Sparse solves require the
-	// Quadratic or Linear utility (the exact λ-QP path).
+	// (the default) is the dense paper solver: the mask admits every
+	// pair. Sparse solves require the Quadratic or Linear utility (the
+	// exact λ-QP path).
 	SparsityCutoff float64
 	// Workers fans the per-front-end λ-steps and per-datacenter
 	// μ/ν/a-steps of each Iterate across this many goroutines (0 or 1 =
@@ -244,10 +244,10 @@ type Engine struct {
 	cEq     []float64   // C_j·β_j, tons per server-equivalent-hour
 	lat     [][]float64 // cached latency rows (Cloud.LatencyRow allocates)
 
-	// sp is the routing-feasibility mask (see sparsity.go); nil when
-	// Options.SparsityCutoff is zero and every loop runs dense. spCloud
-	// remembers which cloud the mask was built from so Reset with the same
-	// topology object skips the rebuild.
+	// sp is the routing-feasibility mask (see sparsity.go) that every
+	// M×N loop walks; the full mask when Options.SparsityCutoff is zero.
+	// spCloud remembers which cloud a cutoff mask was built from so Reset
+	// with the same topology object skips the rebuild.
 	sp      *sparsity
 	spCloud *model.Cloud
 
@@ -301,6 +301,7 @@ func NewEngine(inst *Instance, opts Options) (*Engine, error) {
 		lat:     matrixRows(m, n),
 	}
 	e.scratch.init(m, n)
+	e.resetMask()
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1
@@ -333,12 +334,10 @@ func (e *Engine) configure(inst *Instance) error {
 			return fmt.Errorf("core: SparsityCutoff %g needs the Quadratic or Linear utility (exact masked λ-step), got %T: %w",
 				cut, inst.Utility, ErrBadOptions)
 		}
-		if e.sp == nil || e.spCloud != inst.Cloud {
+		if e.spCloud != inst.Cloud {
 			e.sp = buildSparsity(e.lat, cut)
 			e.spCloud = inst.Cloud
 		}
-	} else {
-		e.sp, e.spCloud = nil, nil
 	}
 	opts := e.opts
 	for j := 0; j < n; j++ {
@@ -450,7 +449,7 @@ func (e *Engine) resize(m, n int) {
 	e.pEq = make([]float64, n)
 	e.cEq = make([]float64, n)
 	e.lat = matrixRows(m, n)
-	e.sp, e.spCloud = nil, nil
+	e.resetMask()
 	e.scratch = iterScratch{}
 	e.scratch.init(m, n)
 	for w := range e.ws {
@@ -464,134 +463,29 @@ func (e *Engine) Instance() *Instance { return e.inst }
 // Options returns the effective (defaulted) options.
 func (e *Engine) Options() Options { return e.opts }
 
-// LambdaStep solves the per-front-end λ-minimization (17):
+// LambdaStepCompactInto solves the per-front-end λ-minimization (17)
+// over front-end i's feasible columns:
 //
 //	min −wU(λ_i) + Σ_j (φ_ij λ_ij + ρ/2 (λ_ij² − 2 a_ij λ_ij))
-//	s.t. Σ_j λ_ij = A_i, λ_ij ≥ 0.
+//	s.t. Σ_j λ_ij = A_i, λ_ij ≥ 0,
 //
-// It is pure with respect to the engine; long-running agents should hold a
-// StepWorkspace and call LambdaStepInto to avoid the per-call allocations.
-func (e *Engine) LambdaStep(i int, aRow, varphiRow []float64) ([]float64, error) {
-	dst := make([]float64, e.n)
-	if err := e.LambdaStepInto(e.newStepWorkspace(), i, aRow, varphiRow, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// LambdaStepInto is the allocation-free λ-minimization: the result is
-// written into dst (length N) and ws provides all scratch. Concurrent
-// callers must use distinct workspaces.
+// with λ_ij pinned at 0 off the routing mask. aC, varphiC and dst are
+// compact vectors indexed by FeasibleCols(i) (on a dense engine that is
+// every column, so compact == full). The result is written into dst and
+// ws provides all scratch; concurrent callers must use distinct
+// workspaces. Distributed front-end agents call it directly; Iterate
+// gathers each row into compact vectors and scatters the result back.
 //
 // For the Quadratic and Linear utilities the sub-problem is
 //
 //	min ½ρ‖λ‖² + ½s(Lᵀλ)² + cᵀλ  over {λ ≥ 0, Σλ = A_i}
 //
 // (s = 2w/A_i, s = 0 respectively), an identity-plus-rank-one QP solved
-// exactly by solveLambdaQP; other utilities fall back to the generic
-// projected-gradient path, which allocates.
-//
-//ufc:hotpath
-func (e *Engine) LambdaStepInto(ws *StepWorkspace, i int, aRow, varphiRow, dst []float64) error {
-	if e.sp != nil {
-		return e.lambdaStepMasked(ws, i, aRow, varphiRow, dst)
-	}
-	n := e.n
-	arrivals := e.inst.Arrivals[i]
-	if arrivals <= 0 {
-		for j := 0; j < n; j++ {
-			dst[j] = 0
-		}
-		return nil
-	}
-	rho := e.rho
-	lat := e.lat[i]
-
-	switch u := e.inst.Utility.(type) {
-	case utility.Quadratic:
-		// −wU = (w/A_i)(Σλ_ij L_ij)² → curvature s = 2w/A_i along L.
-		cvec := ws.cn
-		for j := 0; j < n; j++ {
-			cvec[j] = varphiRow[j] - rho*aRow[j]
-		}
-		e.solveLambdaQP(ws, cvec, lat, 2*e.inst.WeightW/arrivals, arrivals, dst)
-		return nil
-	case utility.Linear:
-		// −wU = w Σλ_ij L_ij → linear term only.
-		cvec := ws.cn
-		for j := 0; j < n; j++ {
-			cvec[j] = e.inst.WeightW*lat[j] + varphiRow[j] - rho*aRow[j]
-		}
-		e.solveLambdaQP(ws, cvec, lat, 0, arrivals, dst)
-		return nil
-	default:
-		x, err := e.lambdaProjGrad(u, lat, arrivals, aRow, varphiRow)
-		if err != nil {
-			return err
-		}
-		copy(dst, x)
-		return nil
-	}
-}
-
-// lambdaStepMasked is the sparse λ-minimization: the sub-problem is the
-// dense one restricted to the feasible columns of front-end i (off-mask
-// coordinates are pinned at 0, which only shrinks the simplex), gathered
-// into compact workspace vectors and solved by the same exact QP. Only the
-// masked entries of dst are written; callers keep off-mask entries at zero
-// (NewState starts there and masked solves never move them).
-//
-//ufc:hotpath
-func (e *Engine) lambdaStepMasked(ws *StepWorkspace, i int, aRow, varphiRow, dst []float64) error {
-	idx := e.sp.rows[i]
-	k := len(idx)
-	arrivals := e.inst.Arrivals[i]
-	if arrivals <= 0 {
-		for _, j := range idx {
-			dst[j] = 0
-		}
-		return nil
-	}
-	rho := e.rho
-	full := e.lat[i]
-	lat := ws.ln[:k]
-	for t, j := range idx {
-		lat[t] = full[j]
-	}
-	cvec, out := ws.cn[:k], ws.xn[:k]
-	switch e.inst.Utility.(type) {
-	case utility.Quadratic:
-		for t, j := range idx {
-			cvec[t] = varphiRow[j] - rho*aRow[j]
-		}
-		e.solveLambdaQP(ws, cvec, lat, 2*e.inst.WeightW/arrivals, arrivals, out)
-	case utility.Linear:
-		w := e.inst.WeightW
-		for t, j := range idx {
-			cvec[t] = w*lat[t] + varphiRow[j] - rho*aRow[j]
-		}
-		e.solveLambdaQP(ws, cvec, lat, 0, arrivals, out)
-	default:
-		// configure rejects this combination; unreachable via the API.
-		return fmt.Errorf("core: masked λ-step with %T utility: %w", e.inst.Utility, ErrBadOptions)
-	}
-	for t, j := range idx {
-		dst[j] = out[t]
-	}
-	return nil
-}
-
-// LambdaStepCompactInto is LambdaStepInto over compact vectors: aC,
-// varphiC and dst are indexed by FeasibleCols(i) (length = mask row size).
-// Distributed front-end agents use it to keep their per-iteration state
-// and messages proportional to the mask instead of N. On a dense engine it
-// is LambdaStepInto verbatim (compact == full).
+// exactly and without allocating by solveLambdaQP; other utilities fall
+// back to the generic projected-gradient path, which allocates.
 //
 //ufc:hotpath
 func (e *Engine) LambdaStepCompactInto(ws *StepWorkspace, i int, aC, varphiC, dst []float64) error {
-	if e.sp == nil {
-		return e.LambdaStepInto(ws, i, aC, varphiC, dst)
-	}
 	idx := e.sp.rows[i]
 	k := len(idx)
 	if len(aC) != k || len(varphiC) != k || len(dst) != k {
@@ -611,20 +505,26 @@ func (e *Engine) LambdaStepCompactInto(ws *StepWorkspace, i int, aC, varphiC, ds
 		lat[t] = full[j]
 	}
 	cvec := ws.cn[:k]
-	switch e.inst.Utility.(type) {
+	switch u := e.inst.Utility.(type) {
 	case utility.Quadratic:
+		// −wU = (w/A_i)(Σλ_ij L_ij)² → curvature s = 2w/A_i along L.
 		for t := 0; t < k; t++ {
 			cvec[t] = varphiC[t] - rho*aC[t]
 		}
 		e.solveLambdaQP(ws, cvec, lat, 2*e.inst.WeightW/arrivals, arrivals, dst)
 	case utility.Linear:
+		// −wU = w Σλ_ij L_ij → linear term only.
 		w := e.inst.WeightW
 		for t := 0; t < k; t++ {
 			cvec[t] = w*lat[t] + varphiC[t] - rho*aC[t]
 		}
 		e.solveLambdaQP(ws, cvec, lat, 0, arrivals, dst)
 	default:
-		return fmt.Errorf("core: masked λ-step with %T utility: %w", e.inst.Utility, ErrBadOptions)
+		x, err := e.lambdaProjGrad(u, lat, arrivals, aC, varphiC)
+		if err != nil {
+			return err
+		}
+		copy(dst, x)
 	}
 	return nil
 }
@@ -644,9 +544,8 @@ func (e *Engine) solveLambdaQP(ws *StepWorkspace, c, l []float64, s, total float
 	n := len(c)
 	rho := e.rho
 	eval := func(t float64) float64 {
-		// Slice to the problem size: masked callers pass compact c/l/dst
-		// prefixes shorter than the workspace (dense callers pass n == N,
-		// the same floats as before).
+		// Slice to the problem size: c/l/dst are compact prefixes of
+		// length |FeasibleCols(i)| ≤ N.
 		v := ws.vn[:n]
 		for j := 0; j < n; j++ {
 			v[j] = -(c[j] + s*t*l[j]) / rho
@@ -778,12 +677,18 @@ func (e *Engine) NuStep(j int, sumA, muTilde, phi float64) float64 {
 	return qp.MinimizeConvex1D(deriv, 0, math.Inf(1), 1e-10)
 }
 
-// AStep solves the per-datacenter a-minimization (20) (in the scaled units
-// β_j = 1):
+// AStepCompactInto solves the per-datacenter a-minimization (20) (in the
+// scaled units β_j = 1) over datacenter j's feasible rows:
 //
 //	min −Σ_i a_ij (φ_j + φ_ij) + ρ/2 (Σ_i a_ij)²
 //	    + ρ Σ_i a_ij (0.5 a_ij − λ̃_ij + α_j − μ̃_j − ν̃_j)
-//	s.t. Σ_i a_ij ≤ S_j, a_ij ≥ 0.
+//	s.t. Σ_i a_ij ≤ S_j, a_ij ≥ 0,
+//
+// with a_ij pinned at 0 off the routing mask. lambdaTildeC, varphiC and
+// dst are compact vectors indexed by FeasibleRows(j) (every row on a
+// dense engine); a datacenter no front-end may route to has an empty
+// column and nothing to solve. The result is written into dst and ws
+// provides all scratch; concurrent callers must use distinct workspaces.
 //
 // The Hessian ρ(I + 11ᵀ) with a single sum constraint and nonnegativity
 // admits an exact O(M log M) water-filling solution
@@ -791,49 +696,14 @@ func (e *Engine) NuStep(j int, sumA, muTilde, phi float64) float64 {
 // front-ends (the paper's "transformed into a second order cone program
 // and solved efficiently" remark).
 //
-// It is pure with respect to the engine; long-running agents should hold a
-// StepWorkspace and call AStepInto to avoid the per-call allocations.
-func (e *Engine) AStep(j int, lambdaTildeCol, varphiCol []float64, muTilde, nuTilde, phi float64) ([]float64, error) {
-	dst := make([]float64, e.m)
-	if err := e.AStepInto(e.newStepWorkspace(), j, lambdaTildeCol, varphiCol, muTilde, nuTilde, phi, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// AStepInto is the allocation-free a-minimization: the result is written
-// into dst (length M) and ws provides all scratch. Concurrent callers must
-// use distinct workspaces.
-//
-//ufc:hotpath
-func (e *Engine) AStepInto(ws *StepWorkspace, j int, lambdaTildeCol, varphiCol []float64, muTilde, nuTilde, phi float64, dst []float64) error {
-	m := e.m
-	rho := e.rho
-	cvec := ws.cm
-	off := e.alphaEq[j] - muTilde - nuTilde
-	for i := 0; i < m; i++ {
-		cvec[i] = -(phi + varphiCol[i]) + rho*(-lambdaTildeCol[i]+off)
-	}
-	if err := qp.SolveSumCappedRankOneInto(dst, ws.sortm, ws.prefm, rho, 1, cvec, e.inst.Cloud.Datacenters[j].Servers); err != nil {
-		return fmt.Errorf("a-minimization at datacenter %d: %w", j, err)
-	}
-	return nil
-}
-
-// AStepCompactInto is AStepInto over compact vectors: lambdaTildeC,
-// varphiC and dst are indexed by FeasibleRows(j) (length = mask column
-// size). Distributed datacenter agents use it so their water-filling
-// solves cover only the front-ends that can actually route to them. On a
-// dense engine it is AStepInto verbatim (compact == full).
-//
 //ufc:hotpath
 func (e *Engine) AStepCompactInto(ws *StepWorkspace, j int, lambdaTildeC, varphiC []float64, muTilde, nuTilde, phi float64, dst []float64) error {
-	if e.sp == nil {
-		return e.AStepInto(ws, j, lambdaTildeC, varphiC, muTilde, nuTilde, phi, dst)
-	}
 	k := len(e.sp.cols[j])
 	if len(lambdaTildeC) != k || len(varphiC) != k || len(dst) != k {
 		return ErrBadState
+	}
+	if k == 0 {
+		return nil
 	}
 	rho := e.rho
 	off := e.alphaEq[j] - muTilde - nuTilde
@@ -880,22 +750,12 @@ func (e *Engine) Iterate(s *State) error {
 
 	// Σ_i a_ij of the incoming state, needed by the μ/ν-steps (s.A is
 	// only mutated after the prediction phases).
-	if sp := e.sp; sp != nil {
-		for j := 0; j < n; j++ {
-			var sum float64
-			for _, i := range sp.cols[j] {
-				sum += s.A[i][j]
-			}
-			sc.sumA[j] = sum
+	for j := 0; j < n; j++ {
+		var sum float64
+		for _, i := range e.sp.cols[j] {
+			sum += s.A[i][j]
 		}
-	} else {
-		for j := 0; j < n; j++ {
-			var sum float64
-			for i := 0; i < m; i++ {
-				sum += s.A[i][j]
-			}
-			sc.sumA[j] = sum
-		}
+		sc.sumA[j] = sum
 	}
 
 	// --- 1.1 λ-minimization (per front-end). ---
@@ -916,75 +776,21 @@ func (e *Engine) Iterate(s *State) error {
 	// (backward order). Each φ_j / φ_ij prediction depends only on its own
 	// pre-update value, so predicting and correcting in one pass produces
 	// the same floats as the two-pass formulation.
-	if sp := e.sp; sp != nil {
-		e.correctionMasked(s, sp, rho, eps)
-	} else {
-		e.correctionDense(s, rho, eps)
-	}
+	e.correction(s, rho, eps)
 	probe.PhaseDone(telemetry.SolverPhaseCorrection, span)
 	return nil
 }
 
-// correctionDense is Iterate's fused dual-update + Gaussian
-// back-substitution pass over all M×N pairs — the paper's loops verbatim.
+// correction is Iterate's fused dual-update + Gaussian back-substitution
+// pass — the paper's loops, walking only the routing mask. Off-mask
+// entries of λ, a, φ_ij and the scratch predictions are all zero and stay
+// zero: every skipped update is a no-op on a zero entry (0 + ε·0), and the
+// Σ_i reductions lose only zero terms, so the pass computes the same
+// per-column totals as a sweep over all M×N pairs would.
 //
 //ufc:hotpath
-func (e *Engine) correctionDense(s *State, rho, eps float64) {
-	m, n := e.m, e.n
-	sc := &e.scratch
-	lambdaTilde, aTildeT := sc.lambdaTilde, sc.aTildeT
-	muTilde, nuTilde := sc.muTilde, sc.nuTilde
-	for j := 0; j < n; j++ {
-		var sumATilde float64
-		row := aTildeT[j]
-		for i := 0; i < m; i++ {
-			sumATilde += row[i]
-		}
-		phiTilde := s.Phi[j] - rho*e.PowerBalance(j, sumATilde, muTilde[j], nuTilde[j])
-		s.Phi[j] += eps * (phiTilde - s.Phi[j])
-	}
-	for i := 0; i < m; i++ {
-		vrow, lrow := s.Varphi[i], lambdaTilde[i]
-		for j := 0; j < n; j++ {
-			varphiTilde := vrow[j] - rho*(aTildeT[j][i]-lrow[j])
-			vrow[j] += eps * (varphiTilde - vrow[j])
-		}
-	}
-	for j := 0; j < n; j++ {
-		var d float64 // Σ_i (a^{k+1} − a^k), scaled β = 1
-		row := aTildeT[j]
-		for i := 0; i < m; i++ {
-			old := s.A[i][j]
-			next := old + eps*(row[i]-old)
-			d += next - old
-			s.A[i][j] = next
-		}
-		nuOld := s.Nu[j]
-		var nuNext float64
-		if e.opts.DisableCorrection {
-			nuNext = nuTilde[j]
-			s.Mu[j] = muTilde[j]
-		} else {
-			nuNext = nuOld + eps*(nuTilde[j]-nuOld) + d
-			muOld := s.Mu[j]
-			s.Mu[j] = muOld + eps*(muTilde[j]-muOld) - (nuNext - nuOld) + d
-		}
-		s.Nu[j] = nuNext
-	}
-	for i := 0; i < m; i++ {
-		copy(s.Lambda[i], lambdaTilde[i])
-	}
-}
-
-// correctionMasked is correctionDense restricted to the feasibility mask.
-// Off-mask entries of λ, a, φ_ij and the scratch predictions are all zero
-// and stay zero: every skipped update is a no-op on a zero entry (0 + ε·0),
-// and the Σ_i reductions lose only zero terms, so the masked pass computes
-// the same per-column totals as the dense pass would on the masked state.
-//
-//ufc:hotpath
-func (e *Engine) correctionMasked(s *State, sp *sparsity, rho, eps float64) {
-	n := e.n
+func (e *Engine) correction(s *State, rho, eps float64) {
+	n, sp := e.n, e.sp
 	sc := &e.scratch
 	lambdaTilde, aTildeT := sc.lambdaTilde, sc.aTildeT
 	muTilde, nuTilde := sc.muTilde, sc.nuTilde
@@ -1034,58 +840,55 @@ func (e *Engine) correctionMasked(s *State, sp *sparsity, rho, eps float64) {
 }
 
 // lambdaItem is the λ-phase work item: front-end i's prediction into the
-// scratch row.
+// scratch row, gathered into and scattered back from compact vectors.
+// Off-mask entries of the scratch row were zeroed at init and are never
+// written.
 //
 //ufc:hotpath
 func (e *Engine) lambdaItem(ws *StepWorkspace, i int) error {
 	s := e.iterState
-	return e.LambdaStepInto(ws, i, s.A[i], s.Varphi[i], e.scratch.lambdaTilde[i])
+	idx := e.sp.rows[i]
+	k := len(idx)
+	aC, varphiC, out := ws.an[:k], ws.phin[:k], ws.xn[:k]
+	arow, vrow := s.A[i], s.Varphi[i]
+	for t, j := range idx {
+		aC[t], varphiC[t] = arow[j], vrow[j]
+	}
+	if err := e.LambdaStepCompactInto(ws, i, aC, varphiC, out); err != nil {
+		return err
+	}
+	dst := e.scratch.lambdaTilde[i]
+	for t, j := range idx {
+		dst[j] = out[t]
+	}
+	return nil
 }
 
 // datacenterItem is the datacenter-phase work item: datacenter j's μ-, ν-
-// and a-predictions. The a-prediction is written as a contiguous row of
-// the transposed scratch matrix, so parallel items never share cache
-// lines.
+// and a-predictions. The a-prediction is gathered and solved over the
+// compact column, then scattered into a contiguous row of the transposed
+// scratch matrix, so parallel items never share cache lines. Off-mask
+// entries of that row were zeroed at init and are never written.
 //
 //ufc:hotpath
 func (e *Engine) datacenterItem(ws *StepWorkspace, j int) error {
 	s, sc := e.iterState, &e.scratch
-	m, rho := e.m, e.rho
 	mu := e.MuStep(j, sc.sumA[j], s.Nu[j], s.Phi[j])
 	//ufc:alloc only the general-convex V_j fallback allocates (bisection closure); the linear-tax path taken in benchmarks is allocation-free
 	nu := e.NuStep(j, sc.sumA[j], mu, s.Phi[j])
 	sc.muTilde[j], sc.nuTilde[j] = mu, nu
-	phi := s.Phi[j]
-	off := e.alphaEq[j] - mu - nu
-	if sp := e.sp; sp != nil {
-		// Masked a-step: gather the feasible column into a compact cost
-		// vector, water-fill over it, scatter back. Off-mask entries of
-		// the transposed scratch row were zeroed at init and are never
-		// written, so downstream masked loops can skip them.
-		idx := sp.cols[j]
-		k := len(idx)
-		if k == 0 {
-			return nil // no front-end can route here: ã_·j ≡ 0
-		}
-		cvec, out := ws.cm[:k], ws.xm[:k]
-		for t, i := range idx {
-			cvec[t] = -(phi + s.Varphi[i][j]) + rho*(-sc.lambdaTilde[i][j]+off)
-		}
-		if err := qp.SolveSumCappedRankOneInto(out, ws.sortm[:k], ws.prefm[:k+1], rho, 1, cvec, e.inst.Cloud.Datacenters[j].Servers); err != nil {
-			return fmt.Errorf("a-minimization at datacenter %d: %w", j, err)
-		}
-		row := sc.aTildeT[j]
-		for t, i := range idx {
-			row[i] = out[t]
-		}
-		return nil
+	idx := e.sp.cols[j]
+	k := len(idx)
+	lamC, varphiC, out := ws.lm[:k], ws.phim[:k], ws.xm[:k]
+	for t, i := range idx {
+		lamC[t], varphiC[t] = sc.lambdaTilde[i][j], s.Varphi[i][j]
 	}
-	cvec := ws.cm
-	for i := 0; i < m; i++ {
-		cvec[i] = -(phi + s.Varphi[i][j]) + rho*(-sc.lambdaTilde[i][j]+off)
+	if err := e.AStepCompactInto(ws, j, lamC, varphiC, mu, nu, s.Phi[j], out); err != nil {
+		return err
 	}
-	if err := qp.SolveSumCappedRankOneInto(sc.aTildeT[j], ws.sortm, ws.prefm, rho, 1, cvec, e.inst.Cloud.Datacenters[j].Servers); err != nil {
-		return fmt.Errorf("a-minimization at datacenter %d: %w", j, err)
+	row := sc.aTildeT[j]
+	for t, i := range idx {
+		row[i] = out[t]
 	}
 	return nil
 }
@@ -1094,45 +897,25 @@ func (e *Engine) datacenterItem(ws *StepWorkspace, j int) error {
 // worst of the a=λ coupling residual and the power-balance residual, both
 // relative to the workload scale (the scaled units make them commensurate).
 func (e *Engine) Residual(s *State) float64 {
-	m, n := e.inst.Cloud.M(), e.inst.Cloud.N()
-	scale := e.loadScale()
+	sp := e.sp
 	var r float64
-	if sp := e.sp; sp != nil {
-		for i, idx := range sp.rows {
-			for _, j := range idx {
-				if d := math.Abs(s.A[i][j] - s.Lambda[i][j]); d > r {
-					r = d
-				}
-			}
-		}
-		for j := 0; j < n; j++ {
-			var sumA float64
-			for _, i := range sp.cols[j] {
-				sumA += s.A[i][j]
-			}
-			if d := math.Abs(e.PowerBalance(j, sumA, s.Mu[j], s.Nu[j])); d > r {
-				r = d
-			}
-		}
-		return r / scale
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
+	for i, idx := range sp.rows {
+		for _, j := range idx {
 			if d := math.Abs(s.A[i][j] - s.Lambda[i][j]); d > r {
 				r = d
 			}
 		}
 	}
-	for j := 0; j < n; j++ {
+	for j := 0; j < e.n; j++ {
 		var sumA float64
-		for i := 0; i < m; i++ {
+		for _, i := range sp.cols[j] {
 			sumA += s.A[i][j]
 		}
 		if d := math.Abs(e.PowerBalance(j, sumA, s.Mu[j], s.Nu[j])); d > r {
 			r = d
 		}
 	}
-	return r / scale
+	return r / e.loadScale()
 }
 
 func (e *Engine) loadScale() float64 {
@@ -1153,47 +936,23 @@ func (e *Engine) loadScale() float64 {
 // duals have settled, without affecting the optimum, and Finalize
 // recomputes the power split exactly from λ anyway.
 func (e *Engine) RoutingResidual(s, prev *State) float64 {
-	m, n := e.inst.Cloud.M(), e.inst.Cloud.N()
-	scale := e.loadScale()
+	sp := e.sp
 	var r float64
-	if sp := e.sp; sp != nil {
-		for i, idx := range sp.rows {
-			for _, j := range idx {
-				if d := math.Abs(s.A[i][j] - s.Lambda[i][j]); d > r {
-					r = d
-				}
-			}
-		}
-		r /= scale
-		for j := 0; j < n; j++ {
-			if d := math.Abs(s.Phi[j]-prev.Phi[j]) / e.dualScale; d > r {
-				r = d
-			}
-		}
-		for i, idx := range sp.rows {
-			for _, j := range idx {
-				if d := math.Abs(s.Varphi[i][j]-prev.Varphi[i][j]) / e.dualScale; d > r {
-					r = d
-				}
-			}
-		}
-		return r
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
+	for i, idx := range sp.rows {
+		for _, j := range idx {
 			if d := math.Abs(s.A[i][j] - s.Lambda[i][j]); d > r {
 				r = d
 			}
 		}
 	}
-	r /= scale
-	for j := 0; j < n; j++ {
+	r /= e.loadScale()
+	for j := 0; j < e.n; j++ {
 		if d := math.Abs(s.Phi[j]-prev.Phi[j]) / e.dualScale; d > r {
 			r = d
 		}
 	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
+	for i, idx := range sp.rows {
+		for _, j := range idx {
 			if d := math.Abs(s.Varphi[i][j]-prev.Varphi[i][j]) / e.dualScale; d > r {
 				r = d
 			}
@@ -1209,32 +968,23 @@ func (e *Engine) RoutingResidual(s, prev *State) float64 {
 // single returned float.
 func (e *Engine) residualSnapshot(dst, src *State) {
 	copy(dst.Phi, src.Phi)
-	if sp := e.sp; sp != nil {
-		for i, idx := range sp.rows {
-			drow, srow := dst.Varphi[i], src.Varphi[i]
-			for _, j := range idx {
-				drow[j] = srow[j]
-			}
+	for i, idx := range e.sp.rows {
+		drow, srow := dst.Varphi[i], src.Varphi[i]
+		for _, j := range idx {
+			drow[j] = srow[j]
 		}
-		return
-	}
-	for i := range src.Varphi {
-		copy(dst.Varphi[i], src.Varphi[i])
 	}
 }
 
-// maskState zeroes the off-mask entries of the M×N blocks so a sparse
-// solve starts — and provably stays — inside the masked feasible set.
-// Masked entries are preserved: warm starts from a previous solve under
-// the same mask pass through untouched, while dense or differently-masked
-// warm starts are projected onto the mask.
+// maskState zeroes the off-mask entries of the M×N blocks so a solve
+// starts — and provably stays — inside the masked feasible set. Masked
+// entries are preserved: warm starts from a previous solve under the same
+// mask pass through untouched, while dense or differently-masked warm
+// starts are projected onto the mask. Under the full mask it writes
+// nothing.
 func (e *Engine) maskState(s *State) {
-	sp := e.sp
-	if sp == nil {
-		return
-	}
 	for i := 0; i < e.m; i++ {
-		idx := sp.rows[i]
+		idx := e.sp.rows[i]
 		lrow, arow, vrow := s.Lambda[i], s.A[i], s.Varphi[i]
 		t := 0
 		for j := 0; j < e.n; j++ {

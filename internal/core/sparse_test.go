@@ -20,41 +20,6 @@ func sparseTopology(t *testing.T, n, m, r int, seed int64) (*experiments.Synthet
 	return st, st.Instance(seed + 100)
 }
 
-// TestSparseFullMaskBitIdenticalToDense: a cutoff large enough to admit
-// every (i, j) pair must reproduce the dense solver bit for bit — the
-// masked loops visit the same indices in the same order, so every float
-// operation is identical. This pins the masked code paths to the dense
-// semantics; together with SparsityCutoff=0 short-circuiting to the
-// untouched dense code, it covers both sides of the tentpole's
-// "default off = bit-identical" guarantee.
-func TestSparseFullMaskBitIdenticalToDense(t *testing.T) {
-	_, inst := sparseTopology(t, 6, 40, 3, 11)
-	dense, err := core.NewEngine(inst, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := core.NewEngine(inst, core.Options{SparsityCutoff: 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !full.Sparse() || full.FeasiblePairs() != 6*40 {
-		t.Fatalf("cutoff 1e9 should keep all %d pairs, got %d (sparse=%v)", 6*40, full.FeasiblePairs(), full.Sparse())
-	}
-	m, n := inst.Cloud.M(), inst.Cloud.N()
-	ds, fs := core.NewState(m, n), core.NewState(m, n)
-	for it := 0; it < 40; it++ {
-		if err := dense.Iterate(ds); err != nil {
-			t.Fatal(err)
-		}
-		if err := full.Iterate(fs); err != nil {
-			t.Fatal(err)
-		}
-		if !statesEqual(ds, fs) {
-			t.Fatalf("iterate %d: full-mask state diverged from dense", it)
-		}
-	}
-}
-
 // TestSparseSolveConverges: under the region cutoff the masked solver must
 // converge to a feasible allocation that routes only inside the mask, with
 // a mask far smaller than M·N, and land near the dense optimum (the

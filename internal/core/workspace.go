@@ -7,13 +7,19 @@ import "sync/atomic"
 // long-running agents (internal/distsim) create their own with
 // NewStepWorkspace so repeated step calls allocate nothing. A workspace
 // must not be shared between concurrent callers.
+//
+// Every buffer is sized for a full row or column; the steps use the
+// compact prefix of the mask row's or column's length.
 type StepWorkspace struct {
 	cn, vn, pn []float64 // length-N buffers: λ-step cost, projection input, sort scratch
-	ln, xn     []float64 // length-N buffers: gathered latencies / compact λ output (masked paths)
+	ln         []float64 // length-N buffer: gathered latencies
+	an, phin   []float64 // length-N buffers: Iterate's gathered a and φ rows
+	xn         []float64 // length-N buffer: Iterate's compact λ output
 	cm         []float64 // length-M buffer: a-step cost
 	sortm      []float64 // length-M sort buffer for the water-filling solver
 	prefm      []float64 // length-M+1 prefix sums
-	xm         []float64 // length-M buffer: compact a output (masked paths)
+	lm, phim   []float64 // length-M buffers: Iterate's gathered λ̃ and φ columns
+	xm         []float64 // length-M buffer: Iterate's compact a output
 }
 
 // NewStepWorkspace returns a workspace sized for the engine's topology.
@@ -26,10 +32,14 @@ func (e *Engine) newStepWorkspace() *StepWorkspace {
 		vn:    make([]float64, n),
 		pn:    make([]float64, n),
 		ln:    make([]float64, n),
+		an:    make([]float64, n),
+		phin:  make([]float64, n),
 		xn:    make([]float64, n),
 		cm:    make([]float64, m),
 		sortm: make([]float64, m),
 		prefm: make([]float64, m+1),
+		lm:    make([]float64, m),
+		phim:  make([]float64, m),
 		xm:    make([]float64, m),
 	}
 }

@@ -34,7 +34,7 @@ func chaosPolicy() *distsim.Resilience {
 }
 
 // runChaos executes one resilient distributed solve under plan.
-func runChaos(t *testing.T, inst *core.Instance, plan *distsim.FaultPlan, pol *distsim.Resilience) *distsim.Result {
+func runChaos(t *testing.T, inst *core.Instance, opts core.Options, plan *distsim.FaultPlan, pol *distsim.Resilience) *distsim.Result {
 	t.Helper()
 	m, n := inst.Cloud.M(), inst.Cloud.N()
 	inner := distsim.NewChanTransport(distsim.AllAgentIDs(m, n), distsim.ChanOptions{})
@@ -42,7 +42,7 @@ func runChaos(t *testing.T, inst *core.Instance, plan *distsim.FaultPlan, pol *d
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := distsim.Run(context.Background(), inst, distsim.RunOptions{Resilience: pol}, tr)
+	res, err := distsim.Run(context.Background(), inst, distsim.RunOptions{Solver: opts, Resilience: pol}, tr)
 	_ = tr.Close() //ufc:discard in-process transport; Run already surfaced any failure
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
@@ -65,58 +65,99 @@ func slotBytes(t *testing.T, res *distsim.Result) []byte {
 	return buf.Bytes()
 }
 
-// TestChaosZeroFaultPlanBitIdentical pins the acceptance criterion that
-// enabling the hardened protocol with an empty fault plan reproduces the
-// sequential engine bit for bit.
-func TestChaosZeroFaultPlanBitIdentical(t *testing.T) {
-	inst := testInstance(t, 1)
-	seqAlloc, seqBD, seqStats, err := core.Solve(inst, core.Options{})
+// sparseChaosInstance is a 4×4 fleet in two latency regions under the
+// region cutoff: the resilient protocol's mask-indexed agents exchange
+// messages only across the feasible pairs.
+func sparseChaosInstance(t *testing.T) (*core.Instance, core.Options) {
+	t.Helper()
+	st, err := experiments.NewSyntheticTopology(experiments.Topology{N: 4, M: 4, Regions: 2}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runChaos(t, inst, &distsim.FaultPlan{Seed: 11}, chaosPolicy())
-	if res.Degradation != nil {
-		t.Fatalf("zero-fault run degraded: %+v", res.Degradation)
+	inst := st.Instance(1)
+	opts := core.Options{SparsityCutoff: st.CutoffSec}
+	eng, err := core.NewEngine(inst, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Stats.Iterations != seqStats.Iterations || res.Breakdown.UFC != seqBD.UFC {
-		t.Fatalf("zero-fault resilient run diverged: %d iters UFC %v, sequential %d iters UFC %v",
-			res.Stats.Iterations, res.Breakdown.UFC, seqStats.Iterations, seqBD.UFC)
+	if m, n := inst.Cloud.M(), inst.Cloud.N(); eng.FeasiblePairs() >= m*n {
+		t.Fatalf("region cutoff kept all %d pairs — not sparse", m*n)
 	}
-	for i := range seqAlloc.Lambda {
-		for j := range seqAlloc.Lambda[i] {
-			if seqAlloc.Lambda[i][j] != res.Allocation.Lambda[i][j] {
-				t.Fatalf("lambda[%d][%d]: resilient %v vs sequential %v (must be bit-identical)",
-					i, j, res.Allocation.Lambda[i][j], seqAlloc.Lambda[i][j])
+	return inst, opts
+}
+
+// TestChaosZeroFaultPlanBitIdentical pins the acceptance criterion that
+// enabling the hardened protocol with an empty fault plan reproduces the
+// sequential engine bit for bit — dense, and under a routing mask.
+func TestChaosZeroFaultPlanBitIdentical(t *testing.T) {
+	sparseInst, sparseOpts := sparseChaosInstance(t)
+	cases := []struct {
+		name string
+		inst *core.Instance
+		opts core.Options
+	}{
+		{"dense", testInstance(t, 1), core.Options{}},
+		{"sparse-4x4x2", sparseInst, sparseOpts},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			seqAlloc, seqBD, seqStats, err := core.Solve(tc.inst, tc.opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			res := runChaos(t, tc.inst, tc.opts, &distsim.FaultPlan{Seed: 11}, chaosPolicy())
+			if res.Degradation != nil {
+				t.Fatalf("zero-fault run degraded: %+v", res.Degradation)
+			}
+			if res.Stats.Iterations != seqStats.Iterations || res.Breakdown.UFC != seqBD.UFC {
+				t.Fatalf("zero-fault resilient run diverged: %d iters UFC %v, sequential %d iters UFC %v",
+					res.Stats.Iterations, res.Breakdown.UFC, seqStats.Iterations, seqBD.UFC)
+			}
+			for i := range seqAlloc.Lambda {
+				for j := range seqAlloc.Lambda[i] {
+					if seqAlloc.Lambda[i][j] != res.Allocation.Lambda[i][j] {
+						t.Fatalf("lambda[%d][%d]: resilient %v vs sequential %v (must be bit-identical)",
+							i, j, res.Allocation.Lambda[i][j], seqAlloc.Lambda[i][j])
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestChaosMatrix sweeps loss × delay × duplication. Link faults are
-// recoverable by retransmission and deduplication, so every cell must
-// produce the exact fault-free solution — and two same-seed runs must
-// produce byte-identical slot logs.
+// TestChaosMatrix sweeps loss × delay × duplication, plus loss on a
+// masked fleet. Link faults are recoverable by retransmission and
+// deduplication, so every cell must produce the exact fault-free
+// solution — and two same-seed runs must produce byte-identical slot
+// logs.
 func TestChaosMatrix(t *testing.T) {
-	inst := testInstance(t, 1)
-	_, seqBD, seqStats, err := core.Solve(inst, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dense := testInstance(t, 1)
+	sparseInst, sparseOpts := sparseChaosInstance(t)
 	cells := []struct {
-		name string
-		link distsim.LinkFault
+		name   string
+		link   distsim.LinkFault
+		sparse bool
 	}{
-		{"loss10", distsim.LinkFault{DropProb: 0.1}},
-		{"loss20", distsim.LinkFault{DropProb: 0.2}},
-		{"delay", distsim.LinkFault{MaxExtraDelayMS: 3}},
-		{"dup", distsim.LinkFault{DupProb: 0.3}},
-		{"loss+delay", distsim.LinkFault{DropProb: 0.15, MaxExtraDelayMS: 2, DelayProb: 0.5}},
-		{"loss+dup", distsim.LinkFault{DropProb: 0.1, DupProb: 0.2}},
+		{"loss10", distsim.LinkFault{DropProb: 0.1}, false},
+		{"loss20", distsim.LinkFault{DropProb: 0.2}, false},
+		{"delay", distsim.LinkFault{MaxExtraDelayMS: 3}, false},
+		{"dup", distsim.LinkFault{DupProb: 0.3}, false},
+		{"loss+delay", distsim.LinkFault{DropProb: 0.15, MaxExtraDelayMS: 2, DelayProb: 0.5}, false},
+		{"loss+dup", distsim.LinkFault{DropProb: 0.1, DupProb: 0.2}, false},
+		{"sparse-loss20", distsim.LinkFault{DropProb: 0.2}, true},
 	}
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
+			inst, opts := dense, core.Options{}
+			if cell.sparse {
+				inst, opts = sparseInst, sparseOpts
+			}
+			_, seqBD, seqStats, err := core.Solve(inst, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 			plan := &distsim.FaultPlan{Seed: 1234, Links: []distsim.LinkFault{cell.link}}
-			res := runChaos(t, inst, plan, chaosPolicy())
+			res := runChaos(t, inst, opts, plan, chaosPolicy())
 			if !res.Stats.Converged {
 				t.Fatalf("cell did not converge: %+v", res.Stats)
 			}
@@ -124,7 +165,7 @@ func TestChaosMatrix(t *testing.T) {
 				t.Fatalf("recoverable faults changed the solution: UFC %v (want %v), iters %d (want %d)",
 					res.Breakdown.UFC, seqBD.UFC, res.Stats.Iterations, seqStats.Iterations)
 			}
-			replay := runChaos(t, inst, plan, chaosPolicy())
+			replay := runChaos(t, inst, opts, plan, chaosPolicy())
 			if got, want := slotBytes(t, replay), slotBytes(t, res); !bytes.Equal(got, want) {
 				t.Fatalf("same-seed replay produced different slot log:\n%s\n%s", want, got)
 			}
@@ -142,7 +183,7 @@ func TestChaosPartitionDeclaresDeadAndCompletes(t *testing.T) {
 		Seed:       5,
 		Partitions: []distsim.Partition{{Agents: []string{"dc-1"}, FromIter: 8, ToIter: 10}},
 	}
-	res := runChaos(t, inst, plan, chaosPolicy())
+	res := runChaos(t, inst, core.Options{}, plan, chaosPolicy())
 	if res.Degradation == nil {
 		t.Fatal("partitioned run reported no degradation")
 	}
@@ -155,7 +196,7 @@ func TestChaosPartitionDeclaresDeadAndCompletes(t *testing.T) {
 	if !foundDead {
 		t.Fatalf("dc-1 not declared dead: %+v", res.Degradation)
 	}
-	replay := runChaos(t, inst, plan, chaosPolicy())
+	replay := runChaos(t, inst, core.Options{}, plan, chaosPolicy())
 	if got, want := slotBytes(t, replay), slotBytes(t, res); !bytes.Equal(got, want) {
 		t.Fatalf("same-seed partition replay diverged:\n%s\n%s", want, got)
 	}
@@ -177,7 +218,7 @@ func TestChaosLossAndDatacenterCrash(t *testing.T) {
 		Links:   []distsim.LinkFault{{DropProb: 0.2}},
 		Crashes: []distsim.Crash{{Agent: "dc-1", AtIter: 30}},
 	}
-	res := runChaos(t, inst, plan, chaosPolicy())
+	res := runChaos(t, inst, core.Options{}, plan, chaosPolicy())
 	if res.Degradation == nil {
 		t.Fatal("crashed run reported no degradation")
 	}
@@ -194,7 +235,7 @@ func TestChaosLossAndDatacenterCrash(t *testing.T) {
 		t.Fatalf("degraded UFC %v deviates %.2f%% from fault-free %v (cap 1%%)",
 			res.Breakdown.UFC, 100*rel, seqBD.UFC)
 	}
-	replay := runChaos(t, inst, plan, chaosPolicy())
+	replay := runChaos(t, inst, core.Options{}, plan, chaosPolicy())
 	if got, want := slotBytes(t, replay), slotBytes(t, res); !bytes.Equal(got, want) {
 		t.Fatalf("same-seed crash replay diverged:\n%s\n%s", want, got)
 	}
@@ -209,7 +250,7 @@ func TestChaosFrontEndCrashProximityFallback(t *testing.T) {
 		Seed:    9,
 		Crashes: []distsim.Crash{{Agent: "fe-2", AtIter: 30}},
 	}
-	res := runChaos(t, inst, plan, chaosPolicy())
+	res := runChaos(t, inst, core.Options{}, plan, chaosPolicy())
 	if res.Degradation == nil {
 		t.Fatal("front-end crash reported no degradation")
 	}

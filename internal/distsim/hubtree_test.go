@@ -65,27 +65,6 @@ func TestDistributedSparseMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestResilientRejectsSparse: the hardened protocol has no sparse variant
-// yet, so combining Resilience with SparsityCutoff must fail loudly
-// rather than desync the agents.
-func TestResilientRejectsSparse(t *testing.T) {
-	st, err := experiments.NewSyntheticTopology(experiments.Topology{N: 4, M: 4, Regions: 2}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := st.Instance(1)
-	m, n := inst.Cloud.M(), inst.Cloud.N()
-	tr := distsim.NewChanTransport(distsim.AllAgentIDs(m, n), distsim.ChanOptions{})
-	defer func() { _ = tr.Close() }()
-	_, err = distsim.Run(context.Background(), inst, distsim.RunOptions{
-		Solver:     core.Options{SparsityCutoff: st.CutoffSec},
-		Resilience: &distsim.Resilience{},
-	}, tr)
-	if err == nil {
-		t.Fatal("resilient sparse run accepted, want an error")
-	}
-}
-
 // runTree launches a hub-tree deployment: the coordinator's node on the
 // root hub and one node per region on that region's sub-hub, each running
 // its region's front-end and datacenter agents via RunAgents. It returns
