@@ -81,6 +81,10 @@ func (r Report) ColdPerSolve() float64 {
 type Pipeline struct {
 	cfg    Config
 	router Router
+	// slotMu serialises every slot — from the Run loop or a direct
+	// RunSlot — and Stop's engine release, so the engine, the iterate and
+	// the per-slot scratch below have one owner at a time.
+	slotMu sync.Mutex
 	eng    *core.Engine
 	state  *core.State
 	cache  *memoCache
@@ -179,9 +183,15 @@ func (r *Router) slotOrMinusOne() int64 {
 
 // RunSlot ingests and publishes exactly one slot. It is the pipeline's
 // unit of work: Run calls it on the pacing loop, tests and the bench
-// runner call it directly. Not safe for concurrent use with itself or
-// Run — there is one engine.
+// runner call it directly. Concurrent calls, including the Run loop's,
+// take turns: each slot runs to completion before the next begins.
 func (p *Pipeline) RunSlot() error {
+	p.slotMu.Lock()
+	defer p.slotMu.Unlock()
+	return p.runSlot()
+}
+
+func (p *Pipeline) runSlot() error {
 	p.slot++
 	slot := p.slot
 	inst := p.cfg.Instance(slot)
@@ -277,33 +287,39 @@ func (p *Pipeline) publish(s *Snapshot) {
 // the interval is zero) until Stop. The first solve happens before Run
 // returns, so callers observe a live snapshot immediately.
 func (p *Pipeline) Run() error {
+	began := time.Now()
 	if err := p.RunSlot(); err != nil {
 		return err
 	}
 	p.loopStarted = true
-	go p.loop()
+	go p.loop(began)
 	return nil
 }
 
-func (p *Pipeline) loop() {
+// loop runs the slots after the first: each begins SlotInterval after
+// the previous one began.
+func (p *Pipeline) loop(prev time.Time) {
 	defer close(p.done)
 	for {
-		next := time.Now().Add(p.cfg.SlotInterval)
-		select {
-		case <-p.stop:
-			return
-		default:
-		}
-		if err := p.RunSlot(); err != nil {
-			p.runErr = err
-			return
-		}
-		if wait := time.Until(next); wait > 0 {
+		if wait := time.Until(prev.Add(p.cfg.SlotInterval)); wait > 0 {
+			timer := time.NewTimer(wait)
+			select {
+			case <-p.stop:
+				timer.Stop()
+				return
+			case <-timer.C:
+			}
+		} else {
 			select {
 			case <-p.stop:
 				return
-			case <-time.After(wait):
+			default:
 			}
+		}
+		prev = time.Now()
+		if err := p.RunSlot(); err != nil {
+			p.runErr = err
+			return
 		}
 	}
 }
@@ -318,7 +334,9 @@ func (p *Pipeline) Stop() error {
 	if p.loopStarted {
 		<-p.done
 	}
+	p.slotMu.Lock()
 	p.eng.Close()
+	p.slotMu.Unlock()
 	return p.runErr
 }
 

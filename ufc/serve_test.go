@@ -58,3 +58,43 @@ func TestControlPlaneFacade(t *testing.T) {
 		t.Fatalf("snapshot shape %dx%d, want %dx%d", snap.M, snap.N, base.Cloud.M(), base.Cloud.N())
 	}
 }
+
+// TestControlPlaneFacadeRunSlotBesideLoop drives RunSlot from the caller
+// while Run's loop re-solves back to back on the same engine. The two
+// must take turns: every slot number is solved exactly once, in order,
+// with nothing lost to a concurrent solve.
+func TestControlPlaneFacadeRunSlotBesideLoop(t *testing.T) {
+	base := buildTwoDCInstance(t)
+	cp, err := ufc.NewControlPlane(ufc.ServeConfig{
+		Instance: func(slot int64) *ufc.Instance {
+			inst := *base
+			arr := append([]float64(nil), base.Arrivals...)
+			for i := range arr {
+				arr[i] *= 1 + 0.02*float64(slot%4)
+			}
+			inst.Arrivals = arr
+			return &inst
+		},
+		Solver:    ufc.Options{MaxIterations: 2000},
+		WarmStart: true,
+		// SlotInterval zero: the loop free-runs beside the caller.
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 4; k++ {
+		if err := cp.RunSlot(); err != nil {
+			t.Fatalf("direct slot %d: %v", k, err)
+		}
+	}
+	if err := cp.Stop(); err != nil {
+		t.Fatalf("stop: %v", err)
+	}
+	r := cp.Report()
+	if r.Solves < 5 || r.Solves != uint64(r.Slot+1) {
+		t.Fatalf("report %+v: want one solve per published slot, at least 5", r)
+	}
+}
