@@ -547,22 +547,10 @@ func (h *TCPHub) route(fb *frameBuf, fromParent bool) {
 		putFrame(fb) // malformed or misplaced hello: drop
 		return
 	}
-	var target *hubConn
-	var sh *routeShard
-	if named {
-		sh = h.namedShard(to)
-		sh.mu.RLock()
-		target = sh.named[string(to)]
-		sh.mu.RUnlock()
-	} else {
-		var slot int
-		sh, slot = h.shardOf(toIdx)
-		sh.mu.RLock()
-		if slot < len(sh.slots) {
-			target = sh.slots[slot]
-		}
-		sh.mu.RUnlock()
-	}
+	sh := h.shardFor(named, toIdx, to)
+	sh.mu.RLock()
+	target := h.routeLocked(sh, named, toIdx, to)
+	sh.mu.RUnlock()
 	var trace tracing.Context
 	var traced bool
 	if h.tracer != nil {
@@ -627,25 +615,45 @@ func (h *TCPHub) shardFor(named bool, toIdx uint32, to []byte) *routeShard {
 	return sh
 }
 
+// routeLocked returns the connection registered for a destination, or
+// nil; the caller holds sh.mu, the destination's shard lock.
+func (h *TCPHub) routeLocked(sh *routeShard, named bool, toIdx uint32, to []byte) *hubConn {
+	if named {
+		return sh.named[string(to)]
+	}
+	if _, slot := h.shardOf(toIdx); slot < len(sh.slots) {
+		return sh.slots[slot]
+	}
+	return nil
+}
+
+// addPending parks a heap copy of rec until its destination registers.
+// The caller found no route, but a registration may have landed since
+// and already drained the queue, so the route is checked again under the
+// shard's write lock — the lock register drains under — and a record
+// that now has a route is forwarded instead of parked forever.
 func (h *TCPHub) addPending(named bool, toIdx uint32, to []byte, rec []byte) {
+	sh := h.shardFor(named, toIdx, to)
+	sh.mu.Lock()
+	if h.routeLocked(sh, named, toIdx, to) != nil {
+		sh.mu.Unlock()
+		fb := getFrame()
+		fb.b = append(fb.b, rec...)
+		h.route(fb, true)
+		return
+	}
 	cp := append([]byte(nil), rec...)
 	if named {
-		sh := h.namedShard(to)
-		sh.mu.Lock()
 		if sh.namedPending == nil {
 			sh.namedPending = make(map[string][][]byte)
 		}
 		sh.namedPending[string(to)] = append(sh.namedPending[string(to)], cp)
-		sh.mu.Unlock()
-		sh.stats.pending.Inc()
-		return
+	} else {
+		if sh.pending == nil {
+			sh.pending = make(map[uint32][][]byte)
+		}
+		sh.pending[toIdx] = append(sh.pending[toIdx], cp)
 	}
-	sh, _ := h.shardOf(toIdx)
-	sh.mu.Lock()
-	if sh.pending == nil {
-		sh.pending = make(map[uint32][][]byte)
-	}
-	sh.pending[toIdx] = append(sh.pending[toIdx], cp)
 	sh.mu.Unlock()
 	sh.stats.pending.Inc()
 }

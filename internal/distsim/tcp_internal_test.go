@@ -189,3 +189,53 @@ func TestHubRequeuesOnDeadRoute(t *testing.T) {
 	}
 	live.cw.close(ErrClosed)
 }
+
+// TestHubAddPendingForwardsOnceRouted replays the park race
+// deterministically: route found no target, the destination registered
+// (draining an empty pending queue), and only then did the record reach
+// addPending. The record must be forwarded to the new route, not parked
+// where no later registration would ever drain it.
+func TestHubAddPendingForwardsOnceRouted(t *testing.T) {
+	for _, id := range []string{"dc-0", "custom-agent"} {
+		t.Run(id, func(t *testing.T) {
+			h := &TCPHub{conns: make(map[net.Conn]*hubConn)}
+			h.initShards(defaultRouteShards)
+			conn := &collectConn{failAt: -1}
+			hc := &hubConn{}
+			hc.cw = newConnWriter(conn, 4, &h.counters, nil)
+			defer hc.cw.close(ErrClosed)
+			h.register(hc, []string{id})
+
+			fb := frameFor(id, Message{Kind: KindAux, Iter: 1, From: "fe-0", Payload: []float64{2.5}})
+			_, body := splitRecord(fb.b)
+			_, named, toIdx, to, err := peekRoute(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.addPending(named, toIdx, to, fb.b)
+			want := len(fb.b)
+			putFrame(fb)
+
+			sh := h.shardFor(named, toIdx, to)
+			sh.mu.RLock()
+			parked := len(sh.pending[toIdx]) + len(sh.namedPending[string(to)])
+			sh.mu.RUnlock()
+			if parked != 0 {
+				t.Fatalf("%d records parked for a registered destination", parked)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				conn.mu.Lock()
+				n := len(conn.wrote)
+				conn.mu.Unlock()
+				if n == want {
+					break
+				}
+				if n > want || time.Now().After(deadline) {
+					t.Fatalf("wrote %d bytes to the registered route, want the %d-byte record", n, want)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
