@@ -418,66 +418,48 @@ func BenchmarkSolveDistributedInMemory(b *testing.B) {
 	}
 }
 
-// --- Transport micro-benchmarks (binary wire layer; the gob baseline
-// comparison lives in bench_gob_test.go behind -tags gobbaseline). ---
+// --- Transport micro-benchmarks (binary wire layer). ---
 
-// transportPair abstracts the two TCP transports so the throughput
-// benchmarks measure them identically.
-type transportPair struct {
-	send    func(to string, m distsim.Message) error
-	inbox   <-chan distsim.Message
-	stats   func() distsim.TransportStats
-	cleanup func()
-}
-
-func newWirePair(b *testing.B) transportPair {
-	b.Helper()
+// BenchmarkTransportThroughput measures the binary wire layer — framed
+// records, coalesced buffered writes, index routing — by pumping b.N
+// routing messages fe-0 → hub → dc-0 over loopback and reporting
+// msgs/sec and bytes/msg. The payload is the current protocol's routing
+// message (λ̃_ij, φ_ij) — the sender index rides in the frame header, not
+// the payload — and Iter cycles through the range a real solve produces
+// (MaxIterations caps it at a few thousand) so varint integer sizes are
+// representative.
+func BenchmarkTransportThroughput(b *testing.B) {
 	hub, err := distsim.NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer func() { _ = hub.Close() }()
 	recv, err := distsim.NewTCPNode(hub.Addr(), []string{"dc-0"}, 4096)
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer func() { _ = recv.Close() }()
 	send, err := distsim.NewTCPNode(hub.Addr(), []string{"fe-0"}, 4096)
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer func() { _ = send.Close() }()
 	inbox, err := recv.Inbox("dc-0")
 	if err != nil {
 		b.Fatal(err)
 	}
-	return transportPair{
-		send:  send.Send,
-		inbox: inbox,
-		stats: send.Stats,
-		cleanup: func() {
-			_ = send.Close()
-			_ = recv.Close()
-			_ = hub.Close()
-		},
-	}
-}
-
-// benchTransportThroughput pumps b.N routing messages fe-0 → hub → dc-0
-// over loopback and reports msgs/sec and bytes/msg. The payload is the
-// routing message each stack actually carries, and Iter cycles through
-// the range a real solve produces (MaxIterations caps it at a few
-// thousand) so varint/gob integer sizes are representative.
-func benchTransportThroughput(b *testing.B, pair transportPair, payload []float64) {
-	defer pair.cleanup()
+	payload := []float64{0.5227926331, 0.1893718274}
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < b.N; i++ {
-			<-pair.inbox
+			<-inbox
 		}
 		close(done)
 	}()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pair.send("dc-0", distsim.Message{
+		if err := send.Send("dc-0", distsim.Message{
 			Kind: distsim.KindRouting, Iter: 1 + i%1000, From: "fe-0", Payload: payload,
 		}); err != nil {
 			b.Fatal(err)
@@ -485,7 +467,7 @@ func benchTransportThroughput(b *testing.B, pair transportPair, payload []float6
 	}
 	<-done
 	b.StopTimer()
-	st := pair.stats()
+	st := send.Stats()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
 	if st.MessagesSent > 0 {
 		b.ReportMetric(float64(st.BytesSent)/float64(st.MessagesSent), "bytes/msg")
@@ -493,14 +475,6 @@ func benchTransportThroughput(b *testing.B, pair transportPair, payload []float6
 	if st.Flushes > 0 {
 		b.ReportMetric(st.AvgBatch(), "msgs/flush")
 	}
-}
-
-// BenchmarkTransportThroughput measures the binary wire layer: framed
-// records, coalesced buffered writes, index routing. The payload is the
-// current protocol's routing message (λ̃_ij, φ_ij) — the sender index
-// rides in the frame header, not the payload.
-func BenchmarkTransportThroughput(b *testing.B) {
-	benchTransportThroughput(b, newWirePair(b), []float64{0.5227926331, 0.1893718274})
 }
 
 // BenchmarkSolveDistributedTCP measures a full distributed solve with

@@ -7,9 +7,7 @@
 // which the tests assert. Transports include an in-memory channel
 // transport with injectable delay/reordering and transient loss
 // (redelivery), and a TCP hub speaking a compact binary framing codec
-// with coalesced, buffered writes (see wire.go; the original gob
-// transport is retained in tcp_gob.go as a benchmark baseline behind the
-// gobbaseline build tag).
+// with coalesced, buffered writes (see wire.go).
 package distsim
 
 import (
@@ -47,7 +45,7 @@ const (
 	KindFinalAck
 )
 
-// Message is the single wire format of the protocol (gob-friendly).
+// Message is the single message type of the protocol.
 type Message struct {
 	Kind    Kind
 	Iter    int
