@@ -16,6 +16,7 @@ import (
 	"repro/internal/distsim"
 	"repro/internal/experiments"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/tracing"
 )
 
 // chaosPolicy is tuned for test speed: fast retransmits, and a degrade
@@ -176,7 +177,8 @@ func TestChaosMatrix(t *testing.T) {
 // TestChaosPartitionDeclaresDeadAndCompletes: a partition across a control
 // boundary exceeds the protocol's two-round catch-up retention, so the
 // isolated datacenter is declared dead and the fleet degrades around it —
-// deterministically.
+// deterministically. The replay runs traced: the tracer records the
+// degrade decisions without changing a byte of the result.
 func TestChaosPartitionDeclaresDeadAndCompletes(t *testing.T) {
 	inst := testInstance(t, 1)
 	plan := &distsim.FaultPlan{
@@ -196,9 +198,31 @@ func TestChaosPartitionDeclaresDeadAndCompletes(t *testing.T) {
 	if !foundDead {
 		t.Fatalf("dc-1 not declared dead: %+v", res.Degradation)
 	}
-	replay := runChaos(t, inst, core.Options{}, plan, chaosPolicy())
+	rec := tracing.NewRecorder(tracing.Config{Component: "chaos", RingSize: 1 << 12, SampleEvery: 1})
+	traced := chaosPolicy()
+	traced.Tracer = rec
+	replay := runChaos(t, inst, core.Options{}, plan, traced)
 	if got, want := slotBytes(t, replay), slotBytes(t, res); !bytes.Equal(got, want) {
-		t.Fatalf("same-seed partition replay diverged:\n%s\n%s", want, got)
+		t.Fatalf("same-seed traced partition replay diverged:\n%s\n%s", want, got)
+	}
+	if n := rec.Recorded(); n > uint64(rec.Len()) {
+		t.Fatalf("recorded %d spans, more than the %d-slot ring holds", n, rec.Len())
+	}
+	// Coordinator slots are fe-0..fe-(M-1), then dc-0..dc-(N-1).
+	dc1 := int64(inst.Cloud.M() + 1)
+	dead, missed := false, 0
+	for _, sp := range rec.Snapshot(nil, 0) {
+		switch sp.Name {
+		case "coord.dead":
+			if sp.Attrs["agent"] == dc1 {
+				dead = true
+			}
+		case "coord.missed":
+			missed++
+		}
+	}
+	if !dead || missed == 0 {
+		t.Fatalf("tracer saw coord.dead for dc-1 = %v and %d coord.missed events, want true and ≥1", dead, missed)
 	}
 }
 
