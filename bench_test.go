@@ -420,6 +420,21 @@ func BenchmarkSolveDistributedInMemory(b *testing.B) {
 
 // --- Transport micro-benchmarks (binary wire layer). ---
 
+// listenHub starts a plaintext hub on a loopback port.
+func listenHub(cfg distsim.ListenConfig) (*distsim.TCPHub, error) {
+	cfg.Addr = "127.0.0.1:0"
+	return distsim.Listen(context.Background(), cfg)
+}
+
+// dialNode connects a plaintext v1 node hosting ids to the hub at addr.
+func dialNode(addr string, ids []string, buffer int) (*distsim.TCPNode, error) {
+	ep, err := distsim.Dial(context.Background(), distsim.DialConfig{Addr: addr, AgentIDs: ids, Buffer: buffer})
+	if err != nil {
+		return nil, err
+	}
+	return ep.(*distsim.TCPNode), nil
+}
+
 // BenchmarkTransportThroughput measures the binary wire layer — framed
 // records, coalesced buffered writes, index routing — by pumping b.N
 // routing messages fe-0 → hub → dc-0 over loopback and reporting
@@ -429,17 +444,17 @@ func BenchmarkSolveDistributedInMemory(b *testing.B) {
 // (MaxIterations caps it at a few thousand) so varint integer sizes are
 // representative.
 func BenchmarkTransportThroughput(b *testing.B) {
-	hub, err := distsim.NewTCPHub("127.0.0.1:0")
+	hub, err := listenHub(distsim.ListenConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer func() { _ = hub.Close() }()
-	recv, err := distsim.NewTCPNode(hub.Addr(), []string{"dc-0"}, 4096)
+	recv, err := dialNode(hub.Addr(), []string{"dc-0"}, 4096)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer func() { _ = recv.Close() }()
-	send, err := distsim.NewTCPNode(hub.Addr(), []string{"fe-0"}, 4096)
+	send, err := dialNode(hub.Addr(), []string{"fe-0"}, 4096)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -485,11 +500,11 @@ func BenchmarkSolveDistributedTCP(b *testing.B) {
 	m, n := inst.Cloud.M(), inst.Cloud.N()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hub, err := distsim.NewTCPHub("127.0.0.1:0")
+		hub, err := listenHub(distsim.ListenConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		node, err := distsim.NewTCPNode(hub.Addr(), distsim.AllAgentIDs(m, n), 256)
+		node, err := dialNode(hub.Addr(), distsim.AllAgentIDs(m, n), 256)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -87,17 +88,20 @@ func TestTraceSpansThreeComponents(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hub, err := distsim.NewTCPHubOpts("127.0.0.1:0", distsim.HubOptions{Decider: pipe, Tracer: hubTracer})
+	hub, err := distsim.Listen(context.Background(), distsim.ListenConfig{Addr: "127.0.0.1:0", Decider: pipe, Tracer: hubTracer})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = hub.Close() }() //ufc:discard test cleanup
 
 	got := make(chan distsim.Decision, 1)
-	client, err := distsim.DialLookup(hub.Addr(), "lg-0", func(d distsim.Decision) { got <- d })
+	ep, err := distsim.Dial(context.Background(), distsim.DialConfig{
+		Addr: hub.Addr(), LookupName: "lg-0", OnDecision: func(d distsim.Decision) { got <- d },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	client := ep.(*distsim.LookupClient)
 	defer func() { _ = client.Close() }() //ufc:discard test cleanup
 
 	sp := lgTracer.Root("load.request")

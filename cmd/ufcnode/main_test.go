@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"os"
@@ -39,7 +40,7 @@ func TestWriteInstanceBadHour(t *testing.T) {
 }
 
 func TestSingleNodeSolveOverHub(t *testing.T) {
-	hub, err := distsim.NewTCPHub("127.0.0.1:0")
+	hub, err := distsim.Listen(context.Background(), distsim.ListenConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestMissingInstanceFlag(t *testing.T) {
 // with -metrics-addr, then scrape /metrics over real HTTP and demand the
 // solver and transport series that a dashboard would alert on.
 func TestMetricsEndpointAfterSolve(t *testing.T) {
-	hub, err := distsim.NewTCPHub("127.0.0.1:0")
+	hub, err := distsim.Listen(context.Background(), distsim.ListenConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,7 @@ import (
 //	Dial(ctx, DialConfig)     (Endpoint, error)
 //
 // with transport security (TLS, token auth, wire version) carried by the
-// SecurityConfig block embedded in both. The historical constructors
-// (NewTCPHub, NewTCPHubOpts, NewTCPNode, NewTCPNodeOpts, DialLookup)
-// remain as thin deprecated wrappers over these.
+// SecurityConfig block embedded in both.
 
 // ListenConfig configures a hub: its listen address, routing table,
 // place in a hub tree, serving plane and transport security.
@@ -29,13 +27,17 @@ type ListenConfig struct {
 	// Addr is the TCP listen address (e.g. "127.0.0.1:0"). Required.
 	Addr string
 	// IdleTimeout drops a connection that produces no records (not even
-	// heartbeat pings) for this long. Zero disables the check.
+	// heartbeat pings) for this long. Zero disables the check —
+	// connections then linger until the peer closes or the hub shuts down.
 	IdleTimeout time.Duration
 	// RouteShards is the number of routing-table shards (power of two;
-	// default 16).
+	// default 16). Raise it on hubs serving many concurrent connections to
+	// cut registration/forwarding contention.
 	RouteShards int
 	// Parent, when non-empty, is the address of the parent hub: this hub
-	// becomes a regional sub-hub (see HubOptions.Parent).
+	// becomes a regional sub-hub. Records whose destination is not
+	// registered locally travel up the parent link (batched); local
+	// registrations propagate upward so the parent routes the ids down.
 	Parent string
 	// Region tags the sub-hub in its parent handshake (informational).
 	Region int
@@ -43,11 +45,14 @@ type ListenConfig struct {
 	// the parent with a zero SecurityConfig (plaintext v1). Requires
 	// Parent.
 	ParentSecurity *SecurityConfig
-	// Decider, when non-nil, turns the hub into a serving control plane
-	// (see HubOptions.Decider).
+	// Decider, when non-nil, turns the hub into a serving control plane:
+	// lookup records arriving on node links are answered inline with
+	// decision records, and cpstats requests with the decider's statistics
+	// vector. See the serving-plane record docs in serve.go.
 	Decider Decider
-	// Tracer, when non-nil, records forwarding and serving spans into
-	// this flight recorder.
+	// Tracer, when non-nil, records spans for traced lookups and
+	// forwarding events for traced records into this flight recorder.
+	// Untraced traffic costs one branch; nil disables tracing entirely.
 	Tracer *tracing.Recorder
 	// Security is the accept-side transport security: a TLS server
 	// config (mutual TLS via ClientAuth/ClientCAs), the expected auth

@@ -63,6 +63,23 @@ func testInstance(t *testing.T, seed int64) *core.Instance {
 	}
 }
 
+// listenHub starts a plaintext hub on a loopback port; cfg supplies the
+// remaining hub options.
+func listenHub(cfg distsim.ListenConfig) (*distsim.TCPHub, error) {
+	cfg.Addr = "127.0.0.1:0"
+	return distsim.Listen(context.Background(), cfg)
+}
+
+// dialNode connects a plaintext v1 node hosting ids to the hub at addr.
+// It sends no handshake bytes.
+func dialNode(addr string, ids []string, buffer int) (*distsim.TCPNode, error) {
+	ep, err := distsim.Dial(context.Background(), distsim.DialConfig{Addr: addr, AgentIDs: ids, Buffer: buffer})
+	if err != nil {
+		return nil, err
+	}
+	return ep.(*distsim.TCPNode), nil
+}
+
 func runDistributed(t *testing.T, inst *core.Instance, chanOpts distsim.ChanOptions) *distsim.Result {
 	t.Helper()
 	m, n := inst.Cloud.M(), inst.Cloud.N()
@@ -138,13 +155,13 @@ func TestDistributedOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub, err := distsim.NewTCPHub("127.0.0.1:0")
+	hub, err := listenHub(distsim.ListenConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = hub.Close() }()
 	m, n := inst.Cloud.M(), inst.Cloud.N()
-	node, err := distsim.NewTCPNode(hub.Addr(), distsim.AllAgentIDs(m, n), 128)
+	node, err := dialNode(hub.Addr(), distsim.AllAgentIDs(m, n), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +182,7 @@ func TestDistributedMultiNodeTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub, err := distsim.NewTCPHub("127.0.0.1:0")
+	hub, err := listenHub(distsim.ListenConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,17 +191,17 @@ func TestDistributedMultiNodeTCP(t *testing.T) {
 	all := distsim.AllAgentIDs(m, n)
 	feIDs, dcIDs, coordIDs := all[:m], all[m:m+n], all[m+n:]
 
-	feNode, err := distsim.NewTCPNode(hub.Addr(), feIDs, 128)
+	feNode, err := dialNode(hub.Addr(), feIDs, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = feNode.Close() }()
-	dcNode, err := distsim.NewTCPNode(hub.Addr(), dcIDs, 128)
+	dcNode, err := dialNode(hub.Addr(), dcIDs, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = dcNode.Close() }()
-	coNode, err := distsim.NewTCPNode(hub.Addr(), coordIDs, 128)
+	coNode, err := dialNode(hub.Addr(), coordIDs, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,12 +382,12 @@ func TestSendAfterClose(t *testing.T) {
 	})
 
 	t.Run("tcp", func(t *testing.T) {
-		hub, err := distsim.NewTCPHub("127.0.0.1:0")
+		hub, err := listenHub(distsim.ListenConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer func() { _ = hub.Close() }()
-		node, err := distsim.NewTCPNode(hub.Addr(), []string{"fe-0", "coord"}, 8)
+		node, err := dialNode(hub.Addr(), []string{"fe-0", "coord"}, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,17 +433,17 @@ func TestChanTransportCloseCancelsDelayedSends(t *testing.T) {
 // end: a node hosting dc-0 dies, traffic for dc-0 queues as pending, and
 // a reconnecting node hosting dc-0 drains it.
 func TestHubRedeliversAfterReconnect(t *testing.T) {
-	hub, err := distsim.NewTCPHub("127.0.0.1:0")
+	hub, err := listenHub(distsim.ListenConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = hub.Close() }()
 
-	victim, err := distsim.NewTCPNode(hub.Addr(), []string{"dc-0"}, 8)
+	victim, err := dialNode(hub.Addr(), []string{"dc-0"}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sender, err := distsim.NewTCPNode(hub.Addr(), []string{"fe-0"}, 8)
+	sender, err := dialNode(hub.Addr(), []string{"fe-0"}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +461,7 @@ func TestHubRedeliversAfterReconnect(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond) // let the record reach the hub's pending queue
 
-	replacement, err := distsim.NewTCPNode(hub.Addr(), []string{"dc-0"}, 8)
+	replacement, err := dialNode(hub.Addr(), []string{"dc-0"}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +499,7 @@ func TestTCPSendSteadyStateAllocs(t *testing.T) {
 			go func() { _, _ = io.Copy(io.Discard, conn) }()
 		}
 	}()
-	node, err := distsim.NewTCPNode(ln.Addr().String(), []string{"fe-0"}, 8)
+	node, err := dialNode(ln.Addr().String(), []string{"fe-0"}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,13 +524,13 @@ func TestTCPSendSteadyStateAllocs(t *testing.T) {
 // TestTCPNodeStats sanity-checks the transport counters against a run.
 func TestTCPNodeStats(t *testing.T) {
 	inst := testInstance(t, 12)
-	hub, err := distsim.NewTCPHub("127.0.0.1:0")
+	hub, err := listenHub(distsim.ListenConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = hub.Close() }()
 	m, n := inst.Cloud.M(), inst.Cloud.N()
-	node, err := distsim.NewTCPNode(hub.Addr(), distsim.AllAgentIDs(m, n), 128)
+	node, err := dialNode(hub.Addr(), distsim.AllAgentIDs(m, n), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,17 +583,17 @@ func TestRunFailsWhenPeerMissing(t *testing.T) {
 // nodes close as soon as they have sent their final reports, while the
 // coordinator process is still waiting to receive them.
 func TestCloseFlushesPendingSends(t *testing.T) {
-	hub, err := distsim.NewTCPHub("127.0.0.1:0")
+	hub, err := listenHub(distsim.ListenConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = hub.Close() }()
-	recv, err := distsim.NewTCPNode(hub.Addr(), []string{"dc-0"}, 512)
+	recv, err := dialNode(hub.Addr(), []string{"dc-0"}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = recv.Close() }()
-	send, err := distsim.NewTCPNode(hub.Addr(), []string{"fe-0"}, 512)
+	send, err := dialNode(hub.Addr(), []string{"fe-0"}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}

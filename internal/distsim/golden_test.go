@@ -336,12 +336,12 @@ func collectInbox(t *testing.T, box <-chan Message, n int) []Message {
 // trace context included.
 func TestGoldenReplayNodeToHub(t *testing.T) {
 	capture := readGolden(t, "node_v1.bin")
-	hub, err := NewTCPHub("127.0.0.1:0")
+	hub, err := listenHub(ListenConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = hub.Close() }()
-	node, err := NewTCPNode(hub.Addr(), []string{"dc-0", "dc-1"}, 16)
+	node, err := dialNode(hub.Addr(), []string{"dc-0", "dc-1"}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestGoldenReplayHubToNode(t *testing.T) {
 		go func() { _, _ = io.Copy(io.Discard, conn) }()
 		_, _ = conn.Write(capture)
 	}()
-	node, err := NewTCPNode(ln.Addr().String(), []string{"fe-0"}, 16)
+	node, err := dialNode(ln.Addr().String(), []string{"fe-0"}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,12 +488,12 @@ func TestGoldenReplayHubToNode(t *testing.T) {
 // the agents registered there.
 func TestGoldenReplayTreeToParent(t *testing.T) {
 	capture := readGolden(t, "tree_v1.bin")
-	parent, err := NewTCPHub("127.0.0.1:0")
+	parent, err := listenHub(ListenConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = parent.Close() }()
-	node, err := NewTCPNode(parent.Addr(), []string{"dc-0", "coord"}, 16)
+	node, err := dialNode(parent.Addr(), []string{"dc-0", "coord"}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestGoldenReplayTreeToParent(t *testing.T) {
 func TestGoldenReplayServe(t *testing.T) {
 	reqCapture := readGolden(t, "serve_req_v1.bin")
 	wantResp := readGolden(t, "serve_resp_v1.bin")
-	hub, err := NewTCPHubOpts("127.0.0.1:0", HubOptions{Decider: goldenDecider{}})
+	hub, err := listenHub(ListenConfig{Decider: goldenDecider{}})
 	if err != nil {
 		t.Fatal(err)
 	}

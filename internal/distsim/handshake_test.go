@@ -231,7 +231,7 @@ func TestHandshakeLegacyClientAgainstAuthHub(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = hub.Close() })
 
-	node, err := NewTCPNode(hub.Addr(), []string{"fe-0"}, 4)
+	node, err := dialNode(hub.Addr(), []string{"fe-0"}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,12 @@ import (
 
 func TestHubRejectsBadRouteShards(t *testing.T) {
 	for _, shards := range []int{3, 7, 12, -1} {
-		if hub, err := distsim.NewTCPHubOpts("127.0.0.1:0", distsim.HubOptions{RouteShards: shards}); err == nil {
+		if hub, err := listenHub(distsim.ListenConfig{RouteShards: shards}); err == nil {
 			_ = hub.Close()
 			t.Errorf("RouteShards=%d accepted, want power-of-two error", shards)
 		}
 	}
-	hub, err := distsim.NewTCPHubOpts("127.0.0.1:0", distsim.HubOptions{RouteShards: 8})
+	hub, err := listenHub(distsim.ListenConfig{RouteShards: 8})
 	if err != nil {
 		t.Fatalf("RouteShards=8 rejected: %v", err)
 	}
@@ -86,7 +86,7 @@ func runTree(t *testing.T, st *experiments.SyntheticTopology, inst *core.Instanc
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(subs))
 	for r, hub := range subs {
-		node, err := distsim.NewTCPNode(hub.Addr(), regionIDs[r], 1024)
+		node, err := dialNode(hub.Addr(), regionIDs[r], 1024)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func runTree(t *testing.T, st *experiments.SyntheticTopology, inst *core.Instanc
 			}
 		}(r, node)
 	}
-	coNode, err := distsim.NewTCPNode(root.Addr(), []string{"coord"}, 4096)
+	coNode, err := dialNode(root.Addr(), []string{"coord"}, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +119,14 @@ func runTree(t *testing.T, st *experiments.SyntheticTopology, inst *core.Instanc
 // newTree builds a root hub plus R regional sub-hubs parented to it.
 func newTree(t *testing.T, regions int) (*distsim.TCPHub, []*distsim.TCPHub) {
 	t.Helper()
-	root, err := distsim.NewTCPHub("127.0.0.1:0")
+	root, err := listenHub(distsim.ListenConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = root.Close() })
 	subs := make([]*distsim.TCPHub, regions)
 	for r := range subs {
-		sub, err := distsim.NewTCPHubOpts("127.0.0.1:0", distsim.HubOptions{Parent: root.Addr(), Region: r})
+		sub, err := listenHub(distsim.ListenConfig{Parent: root.Addr(), Region: r})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,12 +180,12 @@ func TestHubTreeReducesRootBytes(t *testing.T) {
 	m, n := inst.Cloud.M(), inst.Cloud.N()
 
 	// Flat deployment: every agent on one hub.
-	flatHub, err := distsim.NewTCPHub("127.0.0.1:0")
+	flatHub, err := listenHub(distsim.ListenConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = flatHub.Close() }()
-	flatNode, err := distsim.NewTCPNode(flatHub.Addr(), distsim.AllAgentIDs(m, n), 4096)
+	flatNode, err := dialNode(flatHub.Addr(), distsim.AllAgentIDs(m, n), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

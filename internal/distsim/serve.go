@@ -2,7 +2,6 @@ package distsim
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -13,7 +12,7 @@ import (
 	"repro/internal/telemetry/tracing"
 )
 
-// Serving-plane wire records. A control-plane hub (HubOptions.Decider set)
+// Serving-plane wire records. A control-plane hub (ListenConfig.Decider set)
 // answers two extra record kinds on its node links:
 //
 //	lookup   (0x0a): a front-end decision request
@@ -351,26 +350,6 @@ type LookupClient struct {
 	done     chan struct{}
 
 	wireVersion int
-}
-
-// DialLookup connects to a hub and registers under name (any non-standard
-// id; each client needs a distinct one). The returned client is ready
-// once its OnDecision callback is set.
-//
-// Deprecated: use Dial with DialConfig.LookupName, which adds transport
-// security and context control. This wrapper delegates to
-// Dial(context.Background(), ...).
-func DialLookup(hubAddr, name string, onDecision func(Decision)) (*LookupClient, error) {
-	//ufc:ctx deprecated shim: the caller chose the pre-context API and owns the root
-	ep, err := Dial(context.Background(), DialConfig{
-		Addr:       hubAddr,
-		LookupName: name,
-		OnDecision: onDecision,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ep.(*LookupClient), nil
 }
 
 // newLookupClient builds a lookup client on an established (already

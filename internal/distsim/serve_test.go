@@ -189,7 +189,7 @@ func (s *stubDecider) StatsPayload(dst []float64) []float64 {
 
 func TestHubServesLookups(t *testing.T) {
 	dec := &stubDecider{m: 16}
-	hub, err := NewTCPHubOpts("127.0.0.1:0", HubOptions{Decider: dec})
+	hub, err := listenHub(ListenConfig{Decider: dec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestHubServesLookups(t *testing.T) {
 	var mu sync.Mutex
 	got := make(map[uint64]Decision, reqs+1)
 	all := make(chan struct{})
-	client, err := DialLookup(hub.Addr(), "lg-test", func(d Decision) {
+	client, err := dialLookup(hub.Addr(), "lg-test", func(d Decision) {
 		mu.Lock()
 		got[d.ReqID] = d
 		n := len(got)
@@ -264,13 +264,13 @@ func TestHubServesLookups(t *testing.T) {
 
 func TestLookupClientRejectsGarbage(t *testing.T) {
 	dec := &stubDecider{m: 4}
-	hub, err := NewTCPHubOpts("127.0.0.1:0", HubOptions{Decider: dec})
+	hub, err := listenHub(ListenConfig{Decider: dec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = hub.Close() }() //ufc:discard test cleanup
 
-	client, err := DialLookup(hub.Addr(), "lg-garbage", nil)
+	client, err := dialLookup(hub.Addr(), "lg-garbage", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 // defaultRouteShards is the default routing-table shard count
-// (HubOptions.RouteShards overrides it): sharding keeps registration and
+// (ListenConfig.RouteShards overrides it): sharding keeps registration and
 // failure handling on one shard from contending with forwarding on
 // another. Power of two: the shard of index i is i & (shards-1).
 const defaultRouteShards = 16
@@ -54,7 +54,7 @@ type shardStats struct {
 // records stranded on a broken connection are requeued for the next node
 // that registers the destination.
 //
-// Hubs compose into a tree: a hub started with HubOptions.Parent is a
+// Hubs compose into a tree: a hub started with ListenConfig.Parent is a
 // regional sub-hub that forwards records it cannot route locally up the
 // parent link and propagates its registrations upward, so the parent
 // routes those ids back down. Hub↔hub links wrap their write batches in
@@ -77,35 +77,6 @@ type TCPHub struct {
 	wg     sync.WaitGroup
 }
 
-// HubOptions configures a TCPHub's liveness behaviour and its place in a
-// hub tree.
-type HubOptions struct {
-	// IdleTimeout drops a node connection that produces no records (not
-	// even heartbeat pings) for this long. Zero disables the check —
-	// connections then linger until the peer closes or the hub shuts down.
-	IdleTimeout time.Duration
-	// RouteShards is the number of routing-table shards (power of two;
-	// default 16). Raise it on hubs serving many concurrent connections to
-	// cut registration/forwarding contention.
-	RouteShards int
-	// Parent, when non-empty, is the address of the parent hub: this hub
-	// becomes a regional sub-hub. Records whose destination is not
-	// registered locally travel up the parent link (batched); local
-	// registrations propagate upward so the parent routes the ids down.
-	Parent string
-	// Region tags the sub-hub in its parent handshake (informational).
-	Region int
-	// Decider, when non-nil, turns the hub into a serving control plane:
-	// lookup records arriving on node links are answered inline with
-	// decision records, and cpstats requests with the decider's statistics
-	// vector. See the serving-plane record docs in serve.go.
-	Decider Decider
-	// Tracer, when non-nil, records spans for traced lookups and
-	// forwarding events for traced records into this flight recorder.
-	// Untraced traffic costs one branch; nil disables tracing entirely.
-	Tracer *tracing.Recorder
-}
-
 // parentLink is a sub-hub's connection to its parent hub.
 type parentLink struct {
 	conn net.Conn
@@ -119,31 +90,6 @@ type hubConn struct {
 	cw    *connWriter
 	idxs  []uint32
 	names []string
-}
-
-// NewTCPHub listens on addr (e.g. "127.0.0.1:0") and serves until Close.
-//
-// Deprecated: use Listen, which adds transport security and context
-// control. This wrapper delegates to Listen(context.Background(), ...).
-func NewTCPHub(addr string) (*TCPHub, error) {
-	return Listen(context.Background(), ListenConfig{Addr: addr}) //ufc:ctx deprecated shim: the caller chose the pre-context API and owns the root
-}
-
-// NewTCPHubOpts is NewTCPHub with explicit options.
-//
-// Deprecated: use Listen, which adds transport security and context
-// control. This wrapper delegates to Listen(context.Background(), ...).
-func NewTCPHubOpts(addr string, opts HubOptions) (*TCPHub, error) {
-	//ufc:ctx deprecated shim: the caller chose the pre-context API and owns the root
-	return Listen(context.Background(), ListenConfig{
-		Addr:        addr,
-		IdleTimeout: opts.IdleTimeout,
-		RouteShards: opts.RouteShards,
-		Parent:      opts.Parent,
-		Region:      opts.Region,
-		Decider:     opts.Decider,
-		Tracer:      opts.Tracer,
-	})
 }
 
 // initShards sizes the routing table; count must be a power of two.
@@ -709,34 +655,6 @@ type NodeOptions struct {
 	// Tracer, when non-nil, records send/recv events for traced messages
 	// into this flight recorder. Untraced messages cost one branch.
 	Tracer *tracing.Recorder
-}
-
-// NewTCPNode connects to the hub and registers the local agent ids.
-//
-// Deprecated: use Dial, which adds transport security and context
-// control. This wrapper delegates to Dial(context.Background(), ...).
-func NewTCPNode(hubAddr string, localIDs []string, buffer int) (*TCPNode, error) {
-	return NewTCPNodeOpts(hubAddr, localIDs, NodeOptions{Buffer: buffer})
-}
-
-// NewTCPNodeOpts is NewTCPNode with heartbeat/liveness options.
-//
-// Deprecated: use Dial, which adds transport security and context
-// control. This wrapper delegates to Dial(context.Background(), ...).
-func NewTCPNodeOpts(hubAddr string, localIDs []string, opts NodeOptions) (*TCPNode, error) {
-	//ufc:ctx deprecated shim: the caller chose the pre-context API and owns the root
-	ep, err := Dial(context.Background(), DialConfig{
-		Addr:              hubAddr,
-		AgentIDs:          localIDs,
-		Buffer:            opts.Buffer,
-		HeartbeatInterval: opts.HeartbeatInterval,
-		HeartbeatMiss:     opts.HeartbeatMiss,
-		Tracer:            opts.Tracer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ep.(*TCPNode), nil
 }
 
 // newTCPNode builds a node on an established (already secured and

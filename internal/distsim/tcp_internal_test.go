@@ -1,6 +1,7 @@
 package distsim
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net"
@@ -8,6 +9,32 @@ import (
 	"testing"
 	"time"
 )
+
+// listenHub starts a plaintext hub on a loopback port; cfg supplies the
+// remaining hub options.
+func listenHub(cfg ListenConfig) (*TCPHub, error) {
+	cfg.Addr = "127.0.0.1:0"
+	return Listen(context.Background(), cfg)
+}
+
+// dialNode connects a plaintext v1 node hosting ids to the hub at addr.
+// It sends no handshake bytes.
+func dialNode(addr string, ids []string, buffer int) (*TCPNode, error) {
+	ep, err := Dial(context.Background(), DialConfig{Addr: addr, AgentIDs: ids, Buffer: buffer})
+	if err != nil {
+		return nil, err
+	}
+	return ep.(*TCPNode), nil
+}
+
+// dialLookup connects a plaintext lookup client registered as name.
+func dialLookup(addr, name string, onDecision func(Decision)) (*LookupClient, error) {
+	ep, err := Dial(context.Background(), DialConfig{Addr: addr, LookupName: name, OnDecision: onDecision})
+	if err != nil {
+		return nil, err
+	}
+	return ep.(*LookupClient), nil
+}
 
 // collectConn is a net.Conn stub whose write half can be failed on
 // demand, for driving connWriter error paths deterministically.

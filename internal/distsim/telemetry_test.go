@@ -25,7 +25,7 @@ func TestTransportAndShardMetrics(t *testing.T) {
 	probe := telemetry.NewSolverProbe()
 	probe.Register(reg)
 
-	hub, err := distsim.NewTCPHub("127.0.0.1:0")
+	hub, err := listenHub(distsim.ListenConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestTransportAndShardMetrics(t *testing.T) {
 	hub.RegisterMetrics(reg, telemetry.L("component", "hub"))
 
 	m, n := inst.Cloud.M(), inst.Cloud.N()
-	node, err := distsim.NewTCPNode(hub.Addr(), distsim.AllAgentIDs(m, n), 128)
+	node, err := dialNode(hub.Addr(), distsim.AllAgentIDs(m, n), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestRegisteredSendZeroAllocs(t *testing.T) {
 			go func() { _, _ = io.Copy(io.Discard, conn) }()
 		}
 	}()
-	node, err := distsim.NewTCPNode(ln.Addr().String(), []string{"fe-0"}, 8)
+	node, err := dialNode(ln.Addr().String(), []string{"fe-0"}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
