@@ -95,8 +95,9 @@ type (
 	// ExponentialUtility punishes long latencies sharply.
 	ExponentialUtility = utility.Exponential
 
-	// Resilience configures the hardened distributed protocol: retry
-	// backoff, degrade deadlines, staleness cap and liveness thresholds.
+	// Resilience configures the resilient failure policy of a distributed
+	// run: retry backoff, degrade deadlines, staleness cap and liveness
+	// thresholds.
 	Resilience = distsim.Resilience
 	// FaultPlan is a seeded, deterministic chaos schedule applied to the
 	// distributed transport (drops, duplicates, delays, partitions,
@@ -214,7 +215,7 @@ func ListenHub(ctx context.Context, cfg HubConfig) (*distsim.TCPHub, error) {
 
 // DistOptions configures a distributed run beyond the solver options. The
 // zero value reproduces the historical behaviour: in-memory transport, no
-// injected delay, fail-fast protocol, no faults.
+// injected delay, the plain fail-fast policy, no faults.
 type DistOptions struct {
 	// Transport selects TransportChan (default) or TransportTCP.
 	Transport string
@@ -227,7 +228,7 @@ type DistOptions struct {
 	// MaxDelay bounds the in-memory transport's injected uniform delivery
 	// delay; zero disables delays (TransportChan only).
 	MaxDelay time.Duration
-	// Timeout bounds each message wait of the legacy fail-fast protocol
+	// Timeout bounds each message wait under the plain fail-fast policy
 	// (default 30s). Ignored when Resilience is set.
 	Timeout time.Duration
 	// HeartbeatInterval enables hub heartbeats at this period
@@ -236,12 +237,13 @@ type DistOptions struct {
 	// HeartbeatMiss is the missed-heartbeat tolerance before the link is
 	// declared dead (default 3; TransportTCP only).
 	HeartbeatMiss int
-	// Resilience, when non-nil, runs the hardened protocol: bounded
-	// retransmission, duplicate suppression, degrade deadlines with
-	// stale-iterate fallback, and liveness-based degradation.
+	// Resilience, when non-nil, runs the agents under the resilient
+	// failure policy: bounded retransmission, duplicate suppression,
+	// degrade deadlines with stale-iterate fallback, and liveness-based
+	// degradation. Nil runs the plain fail-fast policy.
 	Resilience *Resilience
 	// FaultPlan, when non-nil, wraps the transport in a deterministic
-	// chaos injector. Pair with Resilience — the fail-fast protocol
+	// chaos injector. Pair with Resilience — the plain fail-fast policy
 	// aborts on the first lost message.
 	FaultPlan *FaultPlan
 	// Security configures the TCP dial's transport security (TLS, auth
