@@ -190,7 +190,8 @@ func (p *Pass) checkAppend(call *ast.CallExpr, stack []ast.Node) {
 // checkClosure flags function literals that both capture variables and
 // escape. A capture-free literal is a static function value, and a captured
 // literal that is only assigned to a local and called directly is inlined
-// or stack-allocated (the solveLambdaQP eval pattern) — neither allocates.
+// or stack-allocated (a local probe closure such as eval := func(t) …;
+// eval(t)) — neither allocates.
 func (p *Pass) checkClosure(lit *ast.FuncLit, stack []ast.Node, enclosing *ast.FuncDecl) {
 	if !p.closureCaptures(lit) {
 		return

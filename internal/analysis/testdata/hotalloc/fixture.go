@@ -76,7 +76,7 @@ func hotEscapingClosure(xs []float64, run func(func())) {
 
 //ufc:hotpath
 func hotLocalClosure(c, l []float64, s float64) float64 {
-	// The solveLambdaQP pattern: captured, but bound to a local that is only
+	// A local probe closure: captured, but bound to a local that is only
 	// ever called directly — stack-allocated, not boxed.
 	eval := func(t float64) float64 {
 		sum := 0.0

@@ -35,10 +35,12 @@ func hashState(h hash.Hash64, s *core.State) {
 
 // TestBitPinDenseIterates pins the float64 bits of the first 40 dense
 // ADM-G iterates (SparsityCutoff = 0) on the paper scenario, under each
-// utility family, and on a 6×40 regional fleet. The pinned hashes were
-// recorded from the solver before the dense kernels were folded into the masked ones; any change
-// to the order or form of a float operation on the dense path shows up
-// here as a different hash.
+// utility family, and on a 6×40 regional fleet. The linear and
+// exponential hashes were recorded from the solver before the dense
+// kernels were folded into the masked ones; the two quadratic-utility
+// hashes were re-recorded when the exact piecewise-linear λ-step replaced
+// the bisection. Any change to the order or form of a float operation on
+// the dense path shows up here as a different hash.
 func TestBitPinDenseIterates(t *testing.T) {
 	sc, err := experiments.NewScenario(experiments.DefaultConfig())
 	if err != nil {
@@ -55,8 +57,8 @@ func TestBitPinDenseIterates(t *testing.T) {
 		inst *core.Instance
 		want uint64
 	}{
-		{"paper-slot12", sc.InstanceAt(12), 0x84aa364196499122},
-		{"fleet-6x40", fleet, 0xb633950022672c63},
+		{"paper-slot12", sc.InstanceAt(12), 0x0c605bc5250bdcf9},
+		{"fleet-6x40", fleet, 0xadd366f57bb7c489},
 		{"paper-slot12-linear", &linear, 0x5c6dd2ae90d3c346},
 		{"paper-slot12-exponential", &exp, 0x4d7ae27e29e887fe},
 	}

@@ -35,13 +35,14 @@ func resultHash(res *distsim.Result) uint64 {
 
 // TestBitPinDenseRuns pins the float64 bits of a dense distributed solve
 // over ChanTransport and of a zero-fault resilient dense solve. Both equal
-// the sequential solve, so they share one hash. It was recorded before the
-// dense protocol agents were replaced by the mask-indexed ones, so the
-// agents' arithmetic on a full mask is held to the old dense agents' bit
-// for bit.
+// the sequential solve, so they share one hash. It was first recorded
+// before the dense protocol agents were replaced by the mask-indexed ones,
+// which held the agents' arithmetic on a full mask to the old dense
+// agents' bit for bit, and re-recorded when the exact piecewise-linear
+// λ-step replaced the bisection.
 func TestBitPinDenseRuns(t *testing.T) {
 	inst := testInstance(t, 1)
-	const want = 0xcbd671986396025b
+	const want = 0x8300af8d0bc61819
 	if got := resultHash(runDistributed(t, inst, distsim.ChanOptions{Seed: 1})); got != want {
 		t.Errorf("plain dense run hash %#016x, want %#016x", got, uint64(want))
 	}
@@ -149,8 +150,8 @@ func TestBitPinPlainSchedule(t *testing.T) {
 		opts core.Options
 		want uint64
 	}{
-		{"dense", testInstance(t, 1), core.Options{}, 0x5c845c24d2c29219},
-		{"sparse-4x4x2", sparseInst, sparseOpts, 0x2e8213e119298f03},
+		{"dense", testInstance(t, 1), core.Options{}, 0x89228145e00b2b4e},
+		{"sparse-4x4x2", sparseInst, sparseOpts, 0x38264dc6de88e084},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
