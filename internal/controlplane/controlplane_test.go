@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -184,11 +185,11 @@ func TestMemoCacheHitRepublishes(t *testing.T) {
 	if p.CacheLen() != cycle {
 		t.Fatalf("cache holds %d entries, want %d", p.CacheLen(), cycle)
 	}
-	// A hit republish shares the routing slab with the cached snapshot —
+	// A hit republish shares the routing rows with the cached snapshot —
 	// O(1) work, not a copy.
 	var shared bool
 	for _, cached := range p.cache.entries {
-		if &cached.cum[0] == &s.cum[0] {
+		if &cached.start[0] == &s.start[0] && &cached.dc[0] == &s.dc[0] && &cached.cum[0] == &s.cum[0] {
 			shared = true
 		}
 	}
@@ -423,6 +424,9 @@ func TestTracedSolveBitIdentical(t *testing.T) {
 		a, b := plain[s], traced[s]
 		if a.Slot != b.Slot || a.M != b.M || a.N != b.N || a.Info.Iterations != b.Info.Iterations {
 			t.Fatalf("slot %d: header diverged: %+v vs %+v", s, a.Info, b.Info)
+		}
+		if !slices.Equal(a.start, b.start) || !slices.Equal(a.dc, b.dc) {
+			t.Fatalf("slot %d: row layout diverged between plain and traced", s)
 		}
 		for k := range a.cum {
 			if math.Float64bits(a.cum[k]) != math.Float64bits(b.cum[k]) {
