@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 )
 
 // TestIterateZeroAllocs is the allocation regression gate for the
@@ -29,6 +31,75 @@ func TestIterateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Iterate allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestLambdaStepZeroAllocs is the allocation gate for the exact λ-step:
+// a Quadratic-utility LambdaStepCompactInto with a caller-owned workspace
+// must not touch the heap.
+func TestLambdaStepZeroAllocs(t *testing.T) {
+	inst := smallInstance(t, 50)
+	eng, err := core.NewEngine(inst, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, n := inst.Cloud.M(), inst.Cloud.N()
+	state := core.NewState(m, n)
+	for k := 0; k < 5; k++ {
+		if err := eng.Iterate(state); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ws := eng.NewStepWorkspace()
+	dst := make([]float64, n)
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := eng.LambdaStepCompactInto(ws, i, state.A[i], state.Varphi[i], dst); err != nil {
+			t.Fatal(err)
+		}
+		i = (i + 1) % m
+	})
+	if allocs != 0 {
+		t.Fatalf("LambdaStepCompactInto allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// BenchmarkLambdaStep times one Quadratic-utility λ-step on rows of 5, 50
+// and 200 datacenters: a fleet row under the region cutoff, a wide
+// region, and a dense 200-datacenter row. Each engine is dense over a
+// synthetic topology with that many datacenters and 20 front-ends; the
+// rows come from the state after 30 iterations, cycling over the
+// front-ends.
+func BenchmarkLambdaStep(b *testing.B) {
+	for _, width := range []int{5, 50, 200} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			st, err := experiments.NewSyntheticTopology(experiments.Topology{N: width, M: 20, Regions: 1}, 7)
+			if err != nil {
+				b.Fatal(err)
+			}
+			inst := st.Instance(107)
+			eng, err := core.NewEngine(inst, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := inst.Cloud.M()
+			state := core.NewState(m, width)
+			for k := 0; k < 30; k++ {
+				if err := eng.Iterate(state); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ws := eng.NewStepWorkspace()
+			dst := make([]float64, width)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				i := k % m
+				if err := eng.LambdaStepCompactInto(ws, i, state.A[i], state.Varphi[i], dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

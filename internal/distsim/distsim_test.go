@@ -3,10 +3,8 @@ package distsim_test
 import (
 	"context"
 	"errors"
-	"io"
 	"math"
 	"math/rand"
-	"net"
 	"testing"
 	"time"
 
@@ -478,46 +476,6 @@ func TestHubRedeliversAfterReconnect(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("pending message never redelivered to reconnected node")
-	}
-}
-
-// TestTCPSendSteadyStateAllocs pins the allocation-free send path: after
-// warmup, TCPNode.Send must not allocate. The peer is a raw discarding
-// socket so the in-process receive path stays out of the measurement.
-func TestTCPSendSteadyStateAllocs(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ln.Close() }()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() { _, _ = io.Copy(io.Discard, conn) }()
-		}
-	}()
-	node, err := dialNode(ln.Addr().String(), []string{"fe-0"}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = node.Close() }()
-
-	msg := distsim.Message{Kind: distsim.KindRouting, Iter: 7, From: "fe-0", Payload: []float64{1, 2.5, 3.25}}
-	for k := 0; k < 512; k++ { // warm the buffer pool and writer
-		if err := node.Send("dc-0", msg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(2000, func() {
-		if err := node.Send("dc-0", msg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 0.1 {
-		t.Errorf("steady-state Send allocates %.2f allocs/op, want 0", avg)
 	}
 }
 
