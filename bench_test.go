@@ -562,8 +562,9 @@ func BenchmarkIterateWide(b *testing.B) {
 // the region latency cutoff as the sparsity mask, so the per-iteration
 // work covers the ~N·M/16 feasible pairs instead of all 4 million.
 // ReportAllocs keeps the 0 allocs/op steady-state guarantee visible at
-// this size (the scaling acceptance gate); BENCH_scaling.json records the
-// full size sweep via cmd/experiments/benchjson.
+// this size; TestSparseIterateZeroAllocs enforces it on small fleets,
+// serially and with a worker pool, and the benchmark's fleet_day workload
+// (perfbench) times whole 20×200 solves.
 func BenchmarkIterateScale(b *testing.B) {
 	st, err := experiments.NewSyntheticTopology(experiments.Topology{N: 200, M: 20000, Regions: 16}, 7)
 	if err != nil {

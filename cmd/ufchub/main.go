@@ -19,14 +19,18 @@
 //
 // With -serve the hub additionally becomes an online control plane: a
 // background pipeline re-solves the -topology instance every
-// -slot-interval on a rolling horizon (warm-started from the previous
-// slot's iterate) and publishes each slot's routing table as an immutable
-// snapshot. Lookup records arriving on any connection are answered from
-// the current snapshot — one atomic load, no locks, no allocation — so
-// decision latency is independent of solve time. Drive it with ufcload:
+// -slot-interval on a rolling horizon (each slot warm-started from the
+// previous slot's iterate) and publishes each slot's routing table as an
+// immutable snapshot. Lookup records arriving on any connection are
+// answered from the current snapshot — one atomic load, no locks, no
+// allocation — so decision latency is independent of solve time. Drive it
+// with ufcload:
 //
 //	ufchub -listen :7070 -serve -topology 20,200,4 -slot-interval 500ms -slot-cycle 8
 //	ufcload -addr 127.0.0.1:7070 -conns 4 -rps 20000 -duration 10s
+//
+// The repository benchmark (perfbench, workload serve_lookup) measures
+// the same lookup path against an in-process hub.
 package main
 
 import (
@@ -71,7 +75,6 @@ func run(args []string) error {
 	cacheSize := fs.Int("cache-size", 64, "with -serve: solve memoization cache entries (0 disables)")
 	maxIters := fs.Int("maxiters", 0, "with -serve: per-slot solver iteration budget (0 = solver default)")
 	solverWorkers := fs.Int("solver-workers", runtime.GOMAXPROCS(0), "with -serve: solver worker goroutines")
-	cold := fs.Bool("cold", false, "with -serve: disable warm starts (every slot solves from zero; the baseline ufcload's bench compares against)")
 	var sec netcfg.Flags
 	sec.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -122,7 +125,7 @@ func run(args []string) error {
 	var pipe *controlplane.Pipeline
 	if *serve {
 		var err error
-		if pipe, err = newServePipeline(*topoSpec, *seed, *slotCycle, *cacheSize, *maxIters, *solverWorkers, *slotInterval, !*cold, reg, cpTracer); err != nil {
+		if pipe, err = newServePipeline(*topoSpec, *seed, *slotCycle, *cacheSize, *maxIters, *solverWorkers, *slotInterval, reg, cpTracer); err != nil {
 			return err
 		}
 		cfg.Decider = pipe
@@ -133,7 +136,6 @@ func run(args []string) error {
 		}{
 			{*topoSpec != "", "-topology"},
 			{*slotCycle != 0, "-slot-cycle"},
-			{*cold, "-cold"},
 		} {
 			if f.set {
 				return fmt.Errorf("%s requires -serve", f.name)
@@ -192,7 +194,7 @@ func run(args []string) error {
 
 // newServePipeline validates the -serve flag set and builds the rolling
 // horizon pipeline (idle; the caller starts it).
-func newServePipeline(topoSpec string, seed int64, slotCycle, cacheSize, maxIters, workers int, interval time.Duration, warm bool, reg *telemetry.Registry, tracer *tracing.Recorder) (*controlplane.Pipeline, error) {
+func newServePipeline(topoSpec string, seed int64, slotCycle, cacheSize, maxIters, workers int, interval time.Duration, reg *telemetry.Registry, tracer *tracing.Recorder) (*controlplane.Pipeline, error) {
 	if topoSpec == "" {
 		return nil, fmt.Errorf("-serve requires -topology \"N,M,R\"")
 	}
@@ -232,7 +234,7 @@ func newServePipeline(topoSpec string, seed int64, slotCycle, cacheSize, maxIter
 			return st.SlotInstance(seed, slot)
 		},
 		Solver:       solver,
-		WarmStart:    warm,
+		WarmStart:    true,
 		CacheSize:    cacheSize,
 		Quantum:      1e-3,
 		SlotInterval: interval,

@@ -25,7 +25,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"route shards negative", []string{"-route-shards", "-2"}, "power of two"},
 		{"topology without serve", []string{"-topology", "4,10,1"}, "-topology requires -serve"},
 		{"slot cycle without serve", []string{"-slot-cycle", "4"}, "-slot-cycle requires -serve"},
-		{"cold without serve", []string{"-cold"}, "-cold requires -serve"},
 		{"serve without topology", []string{"-serve"}, "-serve requires -topology"},
 		{"serve bad topology", []string{"-serve", "-topology", "4,10"}, "want N,M,R"},
 		{"serve zero-agent topology", []string{"-serve", "-topology", "0,10,1"}, "N ≥ 1"},
@@ -51,7 +50,7 @@ func TestRunFlagValidation(t *testing.T) {
 // TestNewServePipelineValid: a well-formed -serve flag set yields an idle
 // pipeline whose first slot solves on demand.
 func TestNewServePipelineValid(t *testing.T) {
-	pipe, err := newServePipeline("3,6,3", 7, 2, 8, 500, 1, 50*time.Millisecond, true, nil, nil)
+	pipe, err := newServePipeline("3,6,3", 7, 2, 8, 500, 1, 50*time.Millisecond, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestTraceSpansThreeComponents(t *testing.T) {
 	hubTracer := traceReg.Recorder(tracing.Config{Component: "hub", IDs: ids, SampleEvery: 1})
 	cpTracer := traceReg.Recorder(tracing.Config{Component: "controlplane", IDs: ids, SampleEvery: 1})
 
-	pipe, err := newServePipeline("3,6,3", 7, 2, 8, 500, 1, 50*time.Millisecond, true, nil, cpTracer)
+	pipe, err := newServePipeline("3,6,3", 7, 2, 8, 500, 1, 50*time.Millisecond, nil, cpTracer)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,42 +11,26 @@
 // CI gates latency and cache behaviour directly:
 //
 //	ufcload -addr ... -duration 2s -max-p99 50ms -min-cache-hits 1
-//
-// With -bench it instead self-hosts the whole measurement: for each
-// -points topology it replays the same slot trace through a warm-started
-// rolling-horizon pipeline and a cold one (quantifying the warm-start
-// iteration advantage and the memo-cache hit rate), then serves the warm
-// pipeline through a real TCP hub and load-tests it, emitting
-// BENCH_controlplane.json. -validate re-reads such a file strictly and
-// enforces its gates.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"testing"
 	"time"
 
 	"repro/internal/controlplane"
-	"repro/internal/core"
 	"repro/internal/distsim"
-	"repro/internal/experiments"
 	"repro/internal/netcfg"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/tracing"
 )
-
-const schemaID = "ufc-bench-controlplane/v1"
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -57,19 +41,13 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("ufcload", flag.ContinueOnError)
-	addr := fs.String("addr", "", "control-plane hub address (load mode)")
+	addr := fs.String("addr", "", "control-plane hub address (required)")
 	conns := fs.Int("conns", 4, "concurrent connections")
 	rps := fs.Int("rps", 5000, "aggregate offered requests per second (open loop)")
 	duration := fs.Duration("duration", 5*time.Second, "load duration")
 	seed := fs.Int64("seed", 1, "workload randomness seed (front-end choice and routing entropy)")
 	maxP99 := fs.Duration("max-p99", 0, "fail if p99 decision latency exceeds this (0 disables)")
 	minCacheHits := fs.Uint64("min-cache-hits", 0, "fail if the server reports fewer memo-cache hits")
-	bench := fs.Bool("bench", false, "self-hosted benchmark over -points instead of driving -addr")
-	points := fs.String("points", "20,200,4;100,2000,8", "with -bench: semicolon-separated topology points \"N,M,R\"")
-	slots := fs.Int("slots", 4, "with -bench: slots per trace replay")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "with -bench: solver workers")
-	out := fs.String("out", "BENCH_controlplane.json", "with -bench: output file (\"-\" for stdout)")
-	validate := fs.String("validate", "", "validate an existing result file instead of measuring")
 	traceSample := fs.Int("trace-sample", 0, "trace every Nth lookup end-to-end and report exemplar trace ids at p99/p999 (0 disables)")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus /metrics, health probes and /debug/ufc/trace on this address")
 	var sec netcfg.Flags
@@ -80,17 +58,11 @@ func run(args []string) error {
 	if err := sec.Validate(); err != nil {
 		return err
 	}
-	if *validate != "" {
-		return validateFile(*validate)
-	}
 	if *conns < 1 || *rps < 1 || *duration <= 0 {
 		return fmt.Errorf("need -conns >= 1, -rps >= 1 and -duration > 0 (got %d, %d, %v)", *conns, *rps, *duration)
 	}
-	if *bench {
-		return runBench(*points, *slots, *workers, *conns, *rps, *duration, *seed, *out)
-	}
 	if *addr == "" {
-		return errors.New("-addr is required (or use -bench)")
+		return errors.New("-addr is required")
 	}
 
 	// Optional observability sidecar: a tracing ring when sampling is on,
@@ -423,227 +395,4 @@ func exemplarAt(traces []tracing.TraceID, idx int) tracing.TraceID {
 		}
 	}
 	return 0
-}
-
-// BenchFile is the JSON document -bench emits and -validate checks.
-type BenchFile struct {
-	Schema   string    `json:"schema"`
-	Go       string    `json:"go"`
-	Conns    int       `json:"conns"`
-	RPS      int       `json:"rps"`
-	Duration string    `json:"duration"`
-	Points   []CPPoint `json:"points"`
-}
-
-// CPPoint is one topology's control-plane measurement.
-type CPPoint struct {
-	Topology          string  `json:"topology"`
-	M                 int     `json:"frontEnds"`
-	N                 int     `json:"datacenters"`
-	Slots             int     `json:"slots"`
-	WarmIterPerSolve  float64 `json:"warmItersPerSolve"`
-	ColdIterPerSolve  float64 `json:"coldItersPerSolve"`
-	WarmSpeedup       float64 `json:"warmSpeedup"` // cold/warm iteration ratio
-	CacheHits         uint64  `json:"cacheHits"`
-	CacheMisses       uint64  `json:"cacheMisses"`
-	CacheHitRate      float64 `json:"cacheHitRate"`
-	AllocsPerDecide   float64 `json:"allocsPerDecide"` // must be 0
-	Requests          uint64  `json:"requests"`
-	Answered          uint64  `json:"answered"`
-	AchievedRPS       float64 `json:"achievedRps"`
-	DecisionP50Ns     int64   `json:"decisionP50Ns"`
-	DecisionP99Ns     int64   `json:"decisionP99Ns"`
-	DecisionP999Ns    int64   `json:"decisionP999Ns"`
-	MaxSnapshotAgeNs  int64   `json:"maxSnapshotAgeNs"`
-	SolveNsPerSlot    int64   `json:"solveNsPerSlot"` // warm pipeline mean
-	UnconvergedSolves uint64  `json:"unconvergedSolves"`
-}
-
-func runBench(points string, slots, workers, conns, rps int, duration time.Duration, seed int64, out string) error {
-	if slots < 2 {
-		return fmt.Errorf("-slots %d: need at least 2 (slot 0 is always cold)", slots)
-	}
-	file := BenchFile{Schema: schemaID, Go: runtime.Version(), Conns: conns, RPS: rps, Duration: duration.String()}
-	for _, spec := range strings.Split(points, ";") {
-		topo, err := experiments.ParseTopology(strings.TrimSpace(spec))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "point %s...\n", topo)
-		pt, err := benchPoint(topo, slots, workers, conns, rps, duration, seed)
-		if err != nil {
-			return fmt.Errorf("point %s: %w", topo, err)
-		}
-		file.Points = append(file.Points, *pt)
-		fmt.Fprintf(os.Stderr, "  warm %.0f vs cold %.0f iters/solve (%.2fx), cache %d/%d hits, p99 %v at %.0f rps\n",
-			pt.WarmIterPerSolve, pt.ColdIterPerSolve, pt.WarmSpeedup,
-			pt.CacheHits, pt.CacheHits+pt.CacheMisses, time.Duration(pt.DecisionP99Ns), pt.AchievedRPS)
-	}
-
-	data, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	return validateFile(out)
-}
-
-// benchPoint measures one topology: a cold trace replay, a warm replay of
-// the same trace (plus a second cycle that exercises the memo cache), a
-// zero-allocation check on the decision path, and a TCP load phase
-// against the warm pipeline.
-func benchPoint(spec experiments.Topology, slots, workers, conns, rps int, duration time.Duration, seed int64) (*CPPoint, error) {
-	st, err := experiments.NewSyntheticTopology(spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	solver := core.Options{
-		Workers:       workers,
-		MaxIterations: 8000,
-		Tolerance:     core.OneServerTolerance(st.Instance(seed)),
-	}
-	if spec.Regions > 1 {
-		solver.SparsityCutoff = st.CutoffSec
-	}
-	trace := func(slot int64) *core.Instance {
-		return st.SlotInstance(seed, slot%int64(slots))
-	}
-
-	// Cold baseline: same trace, every slot from the zero state, no cache.
-	cold, err := controlplane.New(controlplane.Config{Instance: trace, Solver: solver, WarmStart: false})
-	if err != nil {
-		return nil, err
-	}
-	for s := 0; s < slots; s++ {
-		if err := cold.RunSlot(); err != nil {
-			_ = cold.Stop() //ufc:discard already failing with the slot error
-			return nil, fmt.Errorf("cold slot %d: %w", s, err)
-		}
-	}
-	coldReport := cold.Report()
-	if err := cold.Stop(); err != nil {
-		return nil, err
-	}
-
-	// Warm rolling horizon over the identical trace, then a second cycle
-	// through the same slots: every repeat is a memo-cache hit.
-	warm, err := controlplane.New(controlplane.Config{
-		Instance: trace, Solver: solver, WarmStart: true, CacheSize: slots,
-	})
-	if err != nil {
-		return nil, err
-	}
-	stopWarm := warm.Stop
-	defer func() { _ = stopWarm() }() //ufc:discard teardown; first error already returned
-	for s := 0; s < 2*slots; s++ {
-		if err := warm.RunSlot(); err != nil {
-			return nil, fmt.Errorf("warm slot %d: %w", s, err)
-		}
-	}
-	warmReport := warm.Report()
-
-	router := warm.Router()
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, _, ok := router.Decide(0, 1<<63); !ok {
-			panic("no snapshot")
-		}
-	})
-
-	// Load phase: serve the warm pipeline through a real hub on loopback.
-	hub, err := distsim.Listen(context.Background(), distsim.ListenConfig{Addr: "127.0.0.1:0", Decider: warm})
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = hub.Close() }() //ufc:discard measurement teardown
-	res, _, err := runLoad(hub.Addr(), conns, rps, duration, seed, loadConfig{})
-	if err != nil {
-		return nil, err
-	}
-
-	pt := &CPPoint{
-		Topology:          spec.String(),
-		M:                 spec.M,
-		N:                 spec.N,
-		Slots:             slots,
-		WarmIterPerSolve:  warmReport.WarmPerSolve(),
-		ColdIterPerSolve:  coldReport.ColdPerSolve(),
-		CacheHits:         warmReport.CacheHits,
-		CacheMisses:       warmReport.CacheMisses,
-		AllocsPerDecide:   allocs,
-		Requests:          res.Sent,
-		Answered:          res.Answered,
-		AchievedRPS:       res.AchievedRPS,
-		DecisionP50Ns:     res.P50Ns,
-		DecisionP99Ns:     res.P99Ns,
-		DecisionP999Ns:    res.P999Ns,
-		MaxSnapshotAgeNs:  res.MaxAgeNanos,
-		UnconvergedSolves: coldReport.Unconverged + warmReport.Unconverged,
-	}
-	if pt.WarmIterPerSolve > 0 {
-		pt.WarmSpeedup = pt.ColdIterPerSolve / pt.WarmIterPerSolve
-	}
-	if total := pt.CacheHits + pt.CacheMisses; total > 0 {
-		pt.CacheHitRate = float64(pt.CacheHits) / float64(total)
-	}
-	if warmReport.Solves > 0 {
-		pt.SolveNsPerSlot = int64(warmReport.SolveNanos / warmReport.Solves)
-	}
-	return pt, nil
-}
-
-// validateFile strictly re-reads a result file and enforces the
-// control-plane gates: warm solves must beat cold solves on iterations,
-// the memo cache must have hit, the decision path must not allocate, and
-// the load phase must have measured real traffic.
-func validateFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = f.Close() }() //ufc:discard read-only file
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	var file BenchFile
-	if err := dec.Decode(&file); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if file.Schema != schemaID {
-		return fmt.Errorf("%s: schema %q, want %q", path, file.Schema, schemaID)
-	}
-	if len(file.Points) == 0 {
-		return fmt.Errorf("%s: no points", path)
-	}
-	for _, pt := range file.Points {
-		if _, err := experiments.ParseTopology(pt.Topology); err != nil {
-			return fmt.Errorf("%s: point %q: %w", path, pt.Topology, err)
-		}
-		if pt.WarmIterPerSolve <= 0 || pt.ColdIterPerSolve <= 0 {
-			return fmt.Errorf("%s: point %s: missing warm/cold iteration data", path, pt.Topology)
-		}
-		if pt.WarmIterPerSolve >= pt.ColdIterPerSolve {
-			return fmt.Errorf("%s: point %s: warm solves average %.0f iterations vs cold %.0f — no warm-start advantage",
-				path, pt.Topology, pt.WarmIterPerSolve, pt.ColdIterPerSolve)
-		}
-		if pt.CacheHits == 0 {
-			return fmt.Errorf("%s: point %s: no memo-cache hits", path, pt.Topology)
-		}
-		if pt.AllocsPerDecide >= 1 {
-			return fmt.Errorf("%s: point %s: %v allocs per decision, want 0", path, pt.Topology, pt.AllocsPerDecide)
-		}
-		if pt.Answered == 0 || pt.AchievedRPS <= 0 || pt.DecisionP99Ns <= 0 {
-			return fmt.Errorf("%s: point %s: empty load measurement", path, pt.Topology)
-		}
-		if pt.UnconvergedSolves > 0 {
-			return fmt.Errorf("%s: point %s: %d unconverged solves", path, pt.Topology, pt.UnconvergedSolves)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "%s: valid (%d points)\n", path, len(file.Points))
-	return nil
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -102,26 +103,32 @@ func TestSparseParallelBitIdentical(t *testing.T) {
 }
 
 // TestSparseIterateZeroAllocs: the masked hot loop must stay off the heap
-// like the dense one.
+// like the dense one, serially and when the worker pool fans the phases
+// out.
 func TestSparseIterateZeroAllocs(t *testing.T) {
 	st, inst := sparseTopology(t, 8, 48, 4, 14)
-	eng, err := core.NewEngine(inst, core.Options{SparsityCutoff: st.CutoffSec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	state := core.NewState(inst.Cloud.M(), inst.Cloud.N())
-	for k := 0; k < 5; k++ {
-		if err := eng.Iterate(state); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := eng.Iterate(state); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("sparse Iterate allocates %.1f objects/op, want 0", allocs)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			eng, err := core.NewEngine(inst, core.Options{SparsityCutoff: st.CutoffSec, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			state := core.NewState(inst.Cloud.M(), inst.Cloud.N())
+			for k := 0; k < 5; k++ {
+				if err := eng.Iterate(state); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := eng.Iterate(state); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("sparse Iterate with %d workers allocates %.1f objects/op, want 0", workers, allocs)
+			}
+		})
 	}
 }
 

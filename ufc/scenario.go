@@ -36,14 +36,6 @@ func RunWeekComparison(ctx context.Context, cfg ScenarioConfig, opts Options) (*
 	return experiments.RunWeekComparison(ctx, cfg, opts)
 }
 
-// RunWeekComparisonBackground is RunWeekComparison with
-// context.Background.
-//
-// Deprecated: use RunWeekComparison with an explicit context.
-func RunWeekComparisonBackground(cfg ScenarioConfig, opts Options) (*WeekComparison, error) {
-	return RunWeekComparison(context.Background(), cfg, opts) //ufc:ctx deprecated shim: the caller chose the pre-context API and owns the root
-}
-
 // SweepFuelCellPrice reproduces Fig. 9: average UFC improvement and
 // fuel-cell utilization as the fuel-cell price varies. A nil price grid
 // uses the default.
@@ -51,23 +43,8 @@ func SweepFuelCellPrice(ctx context.Context, cfg ScenarioConfig, opts Options, p
 	return experiments.RunFigNine(ctx, cfg, opts, prices)
 }
 
-// SweepFuelCellPriceBackground is SweepFuelCellPrice with
-// context.Background.
-//
-// Deprecated: use SweepFuelCellPrice with an explicit context.
-func SweepFuelCellPriceBackground(cfg ScenarioConfig, opts Options, prices []float64) (*SweepResult, error) {
-	return SweepFuelCellPrice(context.Background(), cfg, opts, prices) //ufc:ctx deprecated shim: the caller chose the pre-context API and owns the root
-}
-
 // SweepCarbonTax reproduces Fig. 10: the same metrics as the carbon tax
 // varies. A nil tax grid uses the default.
 func SweepCarbonTax(ctx context.Context, cfg ScenarioConfig, opts Options, taxes []float64) (*SweepResult, error) {
 	return experiments.RunFigTen(ctx, cfg, opts, taxes)
-}
-
-// SweepCarbonTaxBackground is SweepCarbonTax with context.Background.
-//
-// Deprecated: use SweepCarbonTax with an explicit context.
-func SweepCarbonTaxBackground(cfg ScenarioConfig, opts Options, taxes []float64) (*SweepResult, error) {
-	return SweepCarbonTax(context.Background(), cfg, opts, taxes) //ufc:ctx deprecated shim: the caller chose the pre-context API and owns the root
 }

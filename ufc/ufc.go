@@ -19,17 +19,13 @@
 //		Build()
 //	alloc, breakdown, stats, err := ufc.Solve(ctx, inst, ufc.Options{})
 //
-// # Contexts and deprecation
+// # Contexts
 //
 // Every solving entry point is context-first: Solve, SolveDistributed,
 // RunDistributed, RunWeekComparison, SweepFuelCellPrice and SweepCarbonTax
 // all take a context.Context as their first argument, checked once per
 // ADM-G iteration (no allocation), so callers can cancel or deadline-bound
-// any solve. The pre-context signatures survive as thin deprecated
-// wrappers named *Background (SolveBackground, SolveDistributedBackground,
-// …) that pass context.Background; migrate by adding a ctx argument and
-// dropping the suffix. SolveDistributed's old positional maxDelay is now
-// DistOptions.MaxDelay.
+// any solve.
 //
 // See examples/ for runnable programs and cmd/experiments for the full
 // reproduction of the paper's tables and figures.
@@ -136,13 +132,6 @@ const (
 // cancelled or expired context aborts the solve with its error.
 func Solve(ctx context.Context, inst *Instance, opts Options) (*Allocation, Breakdown, *Stats, error) {
 	return core.SolveContext(ctx, inst, opts)
-}
-
-// SolveBackground is Solve with context.Background.
-//
-// Deprecated: use Solve with an explicit context.
-func SolveBackground(inst *Instance, opts Options) (*Allocation, Breakdown, *Stats, error) {
-	return Solve(context.Background(), inst, opts) //ufc:ctx deprecated shim: the caller chose the pre-context API and owns the root
 }
 
 // Evaluate computes the UFC breakdown of an arbitrary allocation.
@@ -265,16 +254,6 @@ func SolveDistributed(ctx context.Context, inst *Instance, opts Options, dist Di
 		return nil, Breakdown{}, nil, err
 	}
 	return res.Allocation, res.Breakdown, res.Stats, nil
-}
-
-// SolveDistributedBackground preserves the pre-context signature: an
-// in-memory transport with the given artificial per-message delay bound.
-//
-// Deprecated: use SolveDistributed with a context and DistOptions
-// (maxDelay is DistOptions.MaxDelay).
-func SolveDistributedBackground(inst *Instance, opts Options, maxDelay time.Duration) (*Allocation, Breakdown, *Stats, error) {
-	//ufc:ctx deprecated shim: the caller chose the pre-context API and owns the root
-	return SolveDistributed(context.Background(), inst, opts, DistOptions{MaxDelay: maxDelay})
 }
 
 // RunDistributed is SolveDistributed returning the full distributed
